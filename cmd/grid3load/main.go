@@ -400,7 +400,9 @@ func score(samples []sample, fired int, window, flashWindow time.Duration) *repo
 		rep.Phases[name] = ph
 	}
 	for name, ss := range byKind {
-		rep.ByEndpoint[name] = scorePhase(ss, 0)
+		ph := scorePhase(ss, window)
+		ph.OfferedRPS = float64(len(ss)) / window.Seconds()
+		rep.ByEndpoint[name] = ph
 	}
 	return rep
 }
@@ -425,7 +427,7 @@ func (rep *report) write(w io.Writer) {
 	sort.Strings(names)
 	for _, name := range names {
 		ph := rep.ByEndpoint[name]
-		fmt.Fprintf(w, "    %-8s %6d reqs, goodput %.3f, p99 %.1fms\n",
-			name, ph.Requests, ph.Goodput, ph.Latency.P99Ms)
+		fmt.Fprintf(w, "    %-8s %6d reqs, sustained %7.1f req/s, goodput %.3f, p99 %.1fms\n",
+			name, ph.Requests, ph.SustainedRPS, ph.Goodput, ph.Latency.P99Ms)
 	}
 }

@@ -157,6 +157,10 @@ type Node struct {
 	Batch      *batch.System
 	Gatekeeper *gram.Gatekeeper
 	Gridmap    *gsi.Gridmap
+	// gridmapGen is the registry generation Gridmap equals a fresh
+	// GenerateGridmap at, or staleGridmap when it may differ (an outage
+	// emptied it).
+	gridmapGen int64
 	LRC        *rls.LRC
 	SRM        *srm.Manager
 	GRIS       *mds.GRIS
@@ -630,12 +634,53 @@ func (g *Grid) healthTransition(tr health.Transition) {
 	}
 }
 
+// staleGridmap marks a node whose grid-mapfile may differ from a fresh
+// GenerateGridmap at any generation; generations themselves are never
+// negative.
+const staleGridmap int64 = -1
+
 // RefreshGridmaps regenerates every site's grid-mapfile from the current
-// VOMS membership (the edg-mkgridmap cron cycle of §5.3).
+// VOMS membership (the edg-mkgridmap cron cycle of §5.3). Sites whose map
+// was built at the current registry generation already hold exactly what
+// a rebuild would produce, so they are skipped.
 func (g *Grid) RefreshGridmaps() {
+	gen := g.Registry.Generation()
 	for _, n := range g.nodeList {
-		n.Gridmap.ReplaceAll(g.Registry.GenerateGridmap(n.Spec.Accounts))
+		if n.gridmapGen != gen {
+			g.rebuildGridmap(n, gen)
+		}
 	}
+}
+
+// GrantGridmaps brings every site's grid-mapfile up to date after one
+// membership change of dn (an enrollment or removal) — the out-of-band
+// edg-mkgridmap run. Call it once after each successful change, naming the
+// DN that changed. A site that was current one generation ago differs from
+// a fresh rebuild at most in dn's own entry, so only that entry is
+// rewritten; any other site is rebuilt in full.
+func (g *Grid) GrantGridmaps(dn string) {
+	gen := g.Registry.Generation()
+	for _, n := range g.nodeList {
+		switch {
+		case n.gridmapGen == gen: // already current
+		case n.gridmapGen != staleGridmap && n.gridmapGen == gen-1:
+			if acct, ok := g.Registry.AccountFor(dn, n.Spec.Accounts); ok {
+				n.Gridmap.Map(dn, acct)
+			} else {
+				n.Gridmap.Unmap(dn)
+			}
+			n.gridmapGen = gen
+		default:
+			g.rebuildGridmap(n, gen)
+		}
+	}
+}
+
+// rebuildGridmap regenerates one site's map in full and records the
+// generation it is now current at.
+func (g *Grid) rebuildGridmap(n *Node, gen int64) {
+	n.Gridmap.ReplaceAll(g.Registry.GenerateGridmap(n.Spec.Accounts))
+	n.gridmapGen = gen
 }
 
 // LocalVO tags non-grid jobs submitted by a site's local users; they are
@@ -711,7 +756,7 @@ func (g *Grid) addSite(spec SiteSpec) error {
 
 	node := &Node{
 		Spec: spec, Site: st, Batch: bs, Gatekeeper: gk,
-		Gridmap: gridmap, LRC: lrc, SRM: srmMgr,
+		Gridmap: gridmap, gridmapGen: g.Registry.Generation(), LRC: lrc, SRM: srmMgr,
 	}
 
 	if g.Cfg.EnableStorageCleanup {

@@ -315,6 +315,7 @@ func (w *CertWave) outage(n *Node, revoked bool) {
 	if !dark {
 		n.Site.SetHealthy(false)
 		n.Gridmap.ReplaceAll(gsi.NewGridmap())
+		n.gridmapGen = staleGridmap
 	}
 	delay := time.Duration(w.rng.Uniform(0.5, 1.5) * float64(w.cfg.RenewalDelay))
 	if revoked {
@@ -327,7 +328,7 @@ func (w *CertWave) outage(n *Node, revoked bool) {
 			w.creds[n.Spec.Name] = renewed
 		}
 		if !dark && n.Spec.JoinAt <= renewNow {
-			n.Gridmap.ReplaceAll(w.g.Registry.GenerateGridmap(n.Spec.Accounts))
+			w.g.rebuildGridmap(n, w.g.Registry.Generation())
 			n.Site.SetHealthy(true)
 		}
 		w.Renewals++

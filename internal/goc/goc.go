@@ -246,9 +246,11 @@ func (d *Desk) SupportFTEs(window time.Duration) float64 {
 	if window <= 0 {
 		return 0
 	}
+	// Sum in ascending ticket ID (IDs are dense from 1): float addition is
+	// not associative, so map order would change the last bit run to run.
 	var hours float64
-	for _, t := range d.tickets {
-		if t.State == Resolved {
+	for id := 1; id <= d.nextID; id++ {
+		if t := d.tickets[id]; t != nil && t.State == Resolved {
 			hours += t.EffortHours
 		}
 	}

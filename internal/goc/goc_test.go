@@ -78,6 +78,35 @@ func TestSupportFTEs(t *testing.T) {
 	}
 }
 
+// SupportFTEs must not depend on map iteration order: with efforts whose
+// float sum is order-sensitive, every call returns the same bits — those
+// of the ascending-ID sum.
+func TestSupportFTEsOrderIndependent(t *testing.T) {
+	eng := sim.NewEngine(sim.Grid3Epoch)
+	desk := NewDesk(eng)
+	var want float64
+	for i := 0; i < 200; i++ {
+		tk := desk.Open("site", "vo", "gatekeeper down", Medium)
+		effort := 0.1 * float64(i%7+1)
+		if i%5 == 0 {
+			effort = 1e16 / float64(i+1)
+		}
+		if i%11 == 3 {
+			continue // left open: not counted
+		}
+		desk.Resolve(tk.ID, effort)
+		want += effort
+	}
+	window := 4 * 7 * 24 * time.Hour
+	want /= 40 * window.Hours() / (7 * 24)
+	for call := 0; call < 50; call++ {
+		if got := desk.SupportFTEs(window); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: FTEs = %v (%#x), want %v (%#x)",
+				call, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestAUP(t *testing.T) {
 	p := NewAUP("usatlas", "uscms")
 	if err := p.Check("/CN=alice", "usatlas"); err != nil {

@@ -41,6 +41,13 @@ func (m *Gridmap) Lookup(dn string) (string, error) {
 	return acct, nil
 }
 
+// Has reports whether the DN is mapped. Unlike Lookup it builds no error on
+// a miss, so map-building loops can test membership without allocating.
+func (m *Gridmap) Has(dn string) bool {
+	_, ok := m.entries[StripProxy(dn)]
+	return ok
+}
+
 // Len returns the number of authorized DNs.
 func (m *Gridmap) Len() int { return len(m.entries) }
 

@@ -46,7 +46,8 @@ func parseRoles(names []string) ([]vo.Role, error) {
 }
 
 // applyEnroll performs the engine-side enrollment mutation — membership add
-// plus the out-of-band gridmap refresh. The HTTP handler and journal replay
+// plus the out-of-band grant of the new DN into every site's grid-mapfile.
+// The HTTP handler and journal replay
 // share it so a restored run re-executes exactly what the original did.
 func applyEnroll(scen *core.Scenario, voName, dn, name string, roles []vo.Role) (total int, err error) {
 	srv, err := scen.Grid.Registry.Server(voName)
@@ -56,7 +57,7 @@ func applyEnroll(scen *core.Scenario, voName, dn, name string, roles []vo.Role) 
 	if err := srv.Add(dn, name, roles...); err != nil {
 		return 0, err
 	}
-	scen.Grid.RefreshGridmaps()
+	scen.Grid.GrantGridmaps(dn)
 	return srv.Len(), nil
 }
 

@@ -191,9 +191,9 @@ type enrollRequest struct {
 }
 
 // handleEnroll is VOMS enrollment (§5.3): the DN joins the VO's membership,
-// and grid-mapfiles are regenerated immediately — an out-of-band
-// edg-mkgridmap run, so the new member can authenticate at gatekeepers
-// without waiting for the 6-hour refresh cycle.
+// and its entry is granted into every site's grid-mapfile immediately — an
+// out-of-band edg-mkgridmap run, so the new member can authenticate at
+// gatekeepers without waiting for the 6-hour refresh cycle.
 func (s *Service) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	voName := r.PathValue("vo")
 	var req enrollRequest

@@ -81,6 +81,9 @@ type VOMS struct {
 	vo      string
 	cred    *gsi.Credential
 	members map[string]*Member
+	// version counts successful membership changes; Registry.Generation
+	// sums it so sites can tell whether their grid-mapfile is current.
+	version int64
 }
 
 // NewVOMS creates the membership server for a VO with the given service
@@ -103,6 +106,7 @@ func (v *VOMS) Add(dn, name string, roles ...Role) error {
 		return fmt.Errorf("%w: %s in %s", ErrDuplicate, dn, v.vo)
 	}
 	v.members[dn] = &Member{DN: dn, Name: name, Roles: roles}
+	v.version++
 	return nil
 }
 
@@ -113,6 +117,7 @@ func (v *VOMS) Remove(dn string) error {
 		return fmt.Errorf("%w: %s in %s", ErrNotMember, dn, v.vo)
 	}
 	delete(v.members, dn)
+	v.version++
 	return nil
 }
 
@@ -207,8 +212,21 @@ func NewRegistry(servers ...*VOMS) *Registry {
 	return r
 }
 
-// Add registers another VOMS server.
+// Add registers another VOMS server. Generation tracks membership changes,
+// not registrations, so servers are registered before any grid-mapfile is
+// built from the registry.
 func (r *Registry) Add(s *VOMS) { r.servers[s.VO()] = s }
+
+// Generation returns the sum of every server's membership version. Each
+// successful Add or Remove on any server raises it by exactly one, so a
+// grid-mapfile built at generation g-1 is one membership change behind g.
+func (r *Registry) Generation() int64 {
+	var gen int64
+	for _, s := range r.servers {
+		gen += s.version
+	}
+	return gen
+}
 
 // Server returns the VOMS server for a VO.
 func (r *Registry) Server(vo string) (*VOMS, error) {
@@ -241,6 +259,24 @@ func (r *Registry) VOOf(dn string) (string, error) {
 	return "", fmt.Errorf("%w: %s in any VO", ErrNotMember, dn)
 }
 
+// AccountFor returns the account dn maps to under a site's per-VO accounts:
+// that of the first VO, in sorted order, the site has an account for and dn
+// is a member of — the same first-VO-wins rule as GenerateGridmap. ok is
+// false when no such VO exists, i.e. dn has no entry in the site's map.
+func (r *Registry) AccountFor(dn string, accounts map[string]string) (account string, ok bool) {
+	dn = gsi.StripProxy(dn)
+	for _, vo := range r.VOs() {
+		acct, has := accounts[vo]
+		if !has {
+			continue
+		}
+		if _, member := r.servers[vo].members[dn]; member {
+			return acct, true
+		}
+	}
+	return "", false
+}
+
 // TotalUsers counts distinct member DNs across all VOs — the §7 "number of
 // users" milestone.
 func (r *Registry) TotalUsers() int {
@@ -264,11 +300,12 @@ func (r *Registry) GenerateGridmap(accounts map[string]string) *gsi.Gridmap {
 		if !ok {
 			continue
 		}
-		for _, dn := range r.servers[vo].Members() {
-			if _, already := m.Lookup(dn); already == nil {
-				continue // first VO wins, matching VOOf
+		// Member order is irrelevant within one VO (its DNs are distinct),
+		// so the roster is walked unsorted.
+		for dn := range r.servers[vo].members {
+			if !m.Has(dn) { // first VO wins, matching VOOf
+				m.Map(dn, acct)
 			}
-			m.Map(dn, acct)
 		}
 	}
 	return m

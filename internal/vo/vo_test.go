@@ -150,6 +150,48 @@ func TestGenerateGridmap(t *testing.T) {
 	}
 }
 
+// Generation rises by one per successful membership change and not on a
+// failed one; AccountFor agrees entry for entry with GenerateGridmap.
+func TestGenerationAndAccountFor(t *testing.T) {
+	atlas, _ := newVOMS(t, USATLAS)
+	ligo, _ := newVOMS(t, LIGO)
+	r := NewRegistry(atlas, ligo)
+	steps := []struct {
+		op      func() error
+		wantGen int64
+	}{
+		{func() error { return atlas.Add("/CN=dual", "d") }, 1},
+		{func() error { return atlas.Add("/CN=a1", "a1") }, 2},
+		{func() error { return atlas.Add("/CN=a1", "again") }, 2}, // duplicate
+		{func() error { return ligo.Add("/CN=dual/CN=proxy", "d") }, 3},
+		{func() error { return ligo.Remove("/CN=nobody") }, 3}, // not a member
+		{func() error { return atlas.Remove("/CN=a1") }, 4},
+	}
+	for i, s := range steps {
+		s.op()
+		if got := r.Generation(); got != s.wantGen {
+			t.Fatalf("step %d: generation %d, want %d", i, got, s.wantGen)
+		}
+	}
+
+	for _, accounts := range []map[string]string{
+		{USATLAS: "grp_usatlas"},
+		{LIGO: "grp_ligo"},
+		{USATLAS: "grp_usatlas", LIGO: "grp_ligo"},
+		{},
+	} {
+		m := r.GenerateGridmap(accounts)
+		for _, dn := range []string{"/CN=dual", "/CN=dual/CN=proxy", "/CN=a1", "/CN=nobody"} {
+			acct, ok := r.AccountFor(dn, accounts)
+			mapped, err := m.Lookup(dn)
+			if ok != (err == nil) || acct != mapped || ok != m.Has(dn) {
+				t.Fatalf("accounts %v, %s: AccountFor = (%q, %v), gridmap = (%q, %v)",
+					accounts, dn, acct, ok, mapped, err)
+			}
+		}
+	}
+}
+
 func TestServerLookup(t *testing.T) {
 	atlas, _ := newVOMS(t, USATLAS)
 	r := NewRegistry(atlas)
