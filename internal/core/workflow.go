@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -143,9 +144,10 @@ func (g *Grid) RunWorkflow(cdag *pegasus.ConcreteDAG, voName, user string, onDon
 					return
 				}
 				path := "/data/" + cjob.LFN
-				if err := n.LRC.Add(cjob.LFN, path, cjob.Bytes); err != nil && err != rls.ErrDuplicate {
-					// Re-registration on retry is fine.
-					_ = err
+				// Re-registration on retry is fine; any other error fails the node.
+				if err := n.LRC.Add(cjob.LFN, path, cjob.Bytes); err != nil && !errors.Is(err, rls.ErrDuplicate) {
+					done(err)
+					return
 				}
 				g.RLI.Publish(n.LRC, 24*time.Hour)
 				done(nil)

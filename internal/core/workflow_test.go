@@ -133,3 +133,43 @@ func TestRunWorkflowMissingInputFails(t *testing.T) {
 		t.Fatal("plan without input replica succeeded")
 	}
 }
+
+// A Register node accepts a mapping that already exists (the retry of a
+// node whose first attempt registered) but fails on a malformed one.
+func TestRegisterNodeErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name, lfn string
+		ok        bool
+	}{
+		{"duplicate", "lfn:cand-1", true},
+		{"empty LFN", "", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(Config{Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const site = "UWMilwaukee_LSC"
+			if err := g.Nodes[site].LRC.Add("lfn:cand-1", "/data/lfn:cand-1", 1); err != nil {
+				t.Fatal(err)
+			}
+			cdag := &pegasus.ConcreteDAG{
+				Order: []string{"register"},
+				Jobs: map[string]*pegasus.ConcreteJob{"register": {
+					Name: "register", Type: pegasus.Register, Site: site, LFN: tc.lfn, Bytes: 1,
+				}},
+			}
+			var result dagman.Result
+			if _, err := g.RunWorkflow(cdag, vo.LIGO, "/CN=x", func(r dagman.Result) { result = r }); err != nil {
+				t.Fatal(err)
+			}
+			g.Eng.RunUntil(time.Hour)
+			if result.Succeeded() != tc.ok {
+				t.Fatalf("result = %+v, want succeeded %v", result, tc.ok)
+			}
+			if tc.ok && len(g.RLI.Sites(tc.lfn)) != 1 {
+				t.Fatalf("RLS sites = %v after re-registration", g.RLI.Sites(tc.lfn))
+			}
+		})
+	}
+}

@@ -28,37 +28,35 @@ func (l *LRC) HashState(h *checkpoint.Hasher) {
 // state, exactly as they are part of what a replayed run rebuilds.
 func (r *RLI) HashState(h *checkpoint.Hasher) {
 	h.Dur(r.nextSweep)
-	lfns := make([]string, 0, len(r.entries))
-	for lfn := range r.entries {
-		lfns = append(lfns, lfn)
-	}
-	sort.Strings(lfns)
+	lfns := sortedKeys(r.entries)
 	h.Int(int64(len(lfns)))
 	for _, lfn := range lfns {
 		h.String(lfn)
-		sites := r.entries[lfn]
-		names := make([]string, 0, len(sites))
-		for s := range sites {
-			names = append(names, s)
-		}
-		sort.Strings(names)
+		names := sortedKeys(r.entries[lfn])
 		h.Int(int64(len(names)))
 		for _, s := range names {
 			h.String(s)
-			h.Dur(sites[s])
+			h.Dur(r.expiry[s])
 		}
 	}
-	pubs := make([]string, 0, len(r.published))
-	for s := range r.published {
-		pubs = append(pubs, s)
-	}
-	sort.Strings(pubs)
+	pubs := sortedKeys(r.published)
 	h.Int(int64(len(pubs)))
 	for _, s := range pubs {
 		h.String(s)
-		h.Int(int64(len(r.published[s])))
-		for _, lfn := range r.published[s] {
+		pub := sortedKeys(r.published[s])
+		h.Int(int64(len(pub)))
+		for _, lfn := range pub {
 			h.String(lfn)
 		}
 	}
+}
+
+// sortedKeys returns a map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -40,6 +40,13 @@ type LRC struct {
 	site     string
 	mappings map[string]map[string]bool // LFN → set of paths
 	size     map[string]int64           // LFN → size attribute
+	// changed holds every LFN whose presence may have changed since the
+	// last publication, so a republish can send only those. Once it
+	// outgrows the catalog it is dropped and overflow set: the next
+	// publication sends everything, and an LRC that is never published
+	// cannot leak.
+	changed  map[string]struct{}
+	overflow bool
 }
 
 // NewLRC creates a catalog for the named site.
@@ -64,6 +71,7 @@ func (l *LRC) Add(lfn, path string, size int64) error {
 	if set == nil {
 		set = make(map[string]bool)
 		l.mappings[lfn] = set
+		l.touch(lfn)
 	}
 	if set[path] {
 		return fmt.Errorf("%w: %s -> %s", ErrDuplicate, lfn, path)
@@ -83,6 +91,7 @@ func (l *LRC) Remove(lfn, path string) error {
 	if len(set) == 0 {
 		delete(l.mappings, lfn)
 		delete(l.size, lfn)
+		l.touch(lfn)
 	}
 	return nil
 }
@@ -90,8 +99,27 @@ func (l *LRC) Remove(lfn, path string) error {
 // Drop removes every mapping of an LFN, no error if absent — how a storage
 // eviction retracts a file from the site catalog in one call.
 func (l *LRC) Drop(lfn string) {
+	if _, ok := l.mappings[lfn]; !ok {
+		return
+	}
 	delete(l.mappings, lfn)
 	delete(l.size, lfn)
+	l.touch(lfn)
+}
+
+// touch records that lfn's presence may have changed since the last
+// publication.
+func (l *LRC) touch(lfn string) {
+	if l.overflow {
+		return
+	}
+	if l.changed == nil {
+		l.changed = make(map[string]struct{})
+	}
+	l.changed[lfn] = struct{}{}
+	if len(l.changed) > len(l.mappings) {
+		l.changed, l.overflow = nil, true
+	}
 }
 
 // Lookup returns the physical paths of an LFN at this site, sorted.
@@ -133,18 +161,28 @@ func (l *LRC) Len() int { return len(l.mappings) }
 // with a TTL; stale publications expire, so a dead site's replicas vanish
 // from the index (Giggle's soft-state consistency).
 //
+// Each publication replaces the site's previous one and gives every entry
+// the same expiry, so expiry is kept per site: every index entry of a site
+// carries its latest expiry, and entries can be missing only once that
+// expiry has passed. A republish before then sends only the LFNs the LRC
+// recorded as changed (the "immediate mode" updates of later RLS
+// releases); otherwise it sends the whole catalog.
+//
 // Expired entries are garbage-collected lazily: Sites prunes the queried
 // LFN in place, and Publish piggybacks a full sweep at most once per
 // sweepInterval, so a site that stops republishing (or LFN churn over a
 // 183-day run) cannot grow the index without bound.
 type RLI struct {
 	clock sim.Clock
-	// entries: LFN → site → publication expiry.
-	entries map[string]map[string]time.Duration
-	lrcs    map[string]*LRC
-	// published tracks each site's current LFN list so republication can
-	// retract the previous one without scanning the whole index.
-	published map[string][]string
+	// entries: LFN → set of publishing sites.
+	entries map[string]map[string]struct{}
+	// expiry: site → expiry of its latest publication.
+	expiry map[string]time.Duration
+	lrcs   map[string]*LRC
+	// published: site → the LFNs of its current publication, so
+	// republication can retract the previous one without scanning the
+	// whole index.
+	published map[string]map[string]struct{}
 	// nextSweep is the earliest virtual time the next piggybacked full
 	// sweep may run.
 	nextSweep time.Duration
@@ -157,38 +195,73 @@ const sweepInterval = time.Hour
 func NewRLI(clock sim.Clock) *RLI {
 	return &RLI{
 		clock:     clock,
-		entries:   make(map[string]map[string]time.Duration),
+		entries:   make(map[string]map[string]struct{}),
+		expiry:    make(map[string]time.Duration),
 		lrcs:      make(map[string]*LRC),
-		published: make(map[string][]string),
+		published: make(map[string]map[string]struct{}),
 	}
 }
 
 // Publish records all of an LRC's LFNs with the given TTL, replacing the
 // site's previous publication. Grid3 LRCs republished periodically.
+//
+// When the same LRC republishes before its previous publication expired,
+// none of its entries can have been pruned, so applying the LFNs it
+// recorded as changed yields the full replacement at O(changes) cost.
+// Publishing consumes the LRC's change set, so an LRC publishes into one
+// RLI only.
 func (r *RLI) Publish(lrc *LRC, ttl time.Duration) {
 	site := lrc.Site()
-	r.lrcs[site] = lrc
-	expiry := r.clock.Now() + ttl
-	// Drop the site's previous publication first.
-	for _, lfn := range r.published[site] {
-		if sites, ok := r.entries[lfn]; ok {
-			delete(sites, site)
-			if len(sites) == 0 {
-				delete(r.entries, lfn)
+	now := r.clock.Now()
+	pub, ok := r.published[site]
+	if ok && r.expiry[site] >= now && r.lrcs[site] == lrc && !lrc.overflow {
+		for lfn := range lrc.changed {
+			if _, present := lrc.mappings[lfn]; present {
+				r.index(site, pub, lfn)
+			} else {
+				r.retract(site, pub, lfn)
 			}
 		}
-	}
-	lfns := lrc.LFNs()
-	for _, lfn := range lfns {
-		sites := r.entries[lfn]
-		if sites == nil {
-			sites = make(map[string]time.Duration)
-			r.entries[lfn] = sites
+	} else {
+		if pub == nil {
+			pub = make(map[string]struct{})
+			r.published[site] = pub
 		}
-		sites[site] = expiry
+		for lfn := range pub {
+			if _, present := lrc.mappings[lfn]; !present {
+				r.retract(site, pub, lfn)
+			}
+		}
+		for lfn := range lrc.mappings {
+			r.index(site, pub, lfn)
+		}
 	}
-	r.published[site] = lfns
+	lrc.changed, lrc.overflow = nil, false
+	r.lrcs[site] = lrc
+	r.expiry[site] = now + ttl
 	r.maybeSweep()
+}
+
+// index adds lfn to the site's publication and the index.
+func (r *RLI) index(site string, pub map[string]struct{}, lfn string) {
+	pub[lfn] = struct{}{}
+	sites := r.entries[lfn]
+	if sites == nil {
+		sites = make(map[string]struct{})
+		r.entries[lfn] = sites
+	}
+	sites[site] = struct{}{}
+}
+
+// retract removes lfn from the site's publication and the index.
+func (r *RLI) retract(site string, pub map[string]struct{}, lfn string) {
+	delete(pub, lfn)
+	if sites, ok := r.entries[lfn]; ok {
+		delete(sites, site)
+		if len(sites) == 0 {
+			delete(r.entries, lfn)
+		}
+	}
 }
 
 // pruneLFN drops an LFN's expired publications, and the LFN itself once no
@@ -196,13 +269,26 @@ func (r *RLI) Publish(lrc *LRC, ttl time.Duration) {
 // pruning never changes results — it only returns memory.
 func (r *RLI) pruneLFN(lfn string, now time.Duration) {
 	sites := r.entries[lfn]
-	for site, expiry := range sites {
-		if expiry < now {
+	for site := range sites {
+		if r.expiry[site] < now {
 			delete(sites, site)
 		}
 	}
 	if len(sites) == 0 {
 		delete(r.entries, lfn)
+	}
+}
+
+// pruneAll prunes every entry, unless no site's publication has expired:
+// then the walk could prune nothing and is skipped.
+func (r *RLI) pruneAll(now time.Duration) {
+	for _, expiry := range r.expiry {
+		if expiry < now {
+			for lfn := range r.entries {
+				r.pruneLFN(lfn, now)
+			}
+			return
+		}
 	}
 }
 
@@ -213,9 +299,7 @@ func (r *RLI) maybeSweep() {
 		return
 	}
 	r.nextSweep = now + sweepInterval
-	for lfn := range r.entries {
-		r.pruneLFN(lfn, now)
-	}
+	r.pruneAll(now)
 }
 
 // Sites returns the sites currently publishing an LFN, sorted. Expired
@@ -275,13 +359,10 @@ func (r *RLI) Locate(lfn string) ([]PFN, error) {
 }
 
 // KnownLFNs returns the number of logical names with live publications.
-// It prunes expired entries as it scans, so the walk is O(live) amortized
-// rather than O(everything ever published).
+// It prunes expired entries first, so the count never includes lapsed
+// publications awaiting the sweep.
 func (r *RLI) KnownLFNs() int {
-	now := r.clock.Now()
-	for lfn := range r.entries {
-		r.pruneLFN(lfn, now)
-	}
+	r.pruneAll(r.clock.Now())
 	return len(r.entries)
 }
 
