@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Ad is a ClassAd: an unordered set of (attribute, expression) pairs.
@@ -24,9 +25,15 @@ func (a *Ad) Set(name string, e Expr) {
 	a.attrs[strings.ToLower(name)] = e
 }
 
-// SetValue binds an attribute to a literal value.
+// SetValue binds an attribute to a literal value. Rebinding the literal
+// already bound (same kind, same content bit for bit) is a no-op, so a
+// refresh that rewrites unchanged values allocates nothing.
 func (a *Ad) SetValue(name string, v Value) {
-	a.Set(name, litExpr{v})
+	e, _ := a.Get(name)
+	if l, ok := e.(*litExpr); ok && l.v.identical(v) {
+		return
+	}
+	a.Set(name, &litExpr{v})
 }
 
 // SetString, SetInt, SetFloat and SetBool are literal-binding conveniences.
@@ -51,9 +58,27 @@ func (a *Ad) SetExpr(name, src string) error {
 	return nil
 }
 
-// Get returns the bound expression.
+// Get returns the bound expression. ASCII names up to 64 bytes fold to
+// lower case in a stack buffer, so a lookup by a mixed-case constant such
+// as "FreeCpus" allocates nothing.
 func (a *Ad) Get(name string) (Expr, bool) {
-	e, ok := a.attrs[strings.ToLower(name)]
+	var buf [64]byte
+	if len(name) > len(buf) {
+		e, ok := a.attrs[strings.ToLower(name)]
+		return e, ok
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			e, ok := a.attrs[strings.ToLower(name)]
+			return e, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	e, ok := a.attrs[string(buf[:len(name)])]
 	return e, ok
 }
 

@@ -5,16 +5,22 @@ import (
 	"strings"
 )
 
-// evalCall dispatches the built-in function library. Unknown functions
+// eval dispatches the built-in function library. Unknown functions
 // evaluate to ERROR, matching Condor.
-func evalCall(ex callExpr, ctx *evalContext) Value {
-	argv := make([]Value, len(ex.args))
+func (e *callExpr) eval(ctx evalContext) Value {
+	// Up to four arguments evaluate into a stack array; every built-in but
+	// strcat, min and max takes at most three.
+	var buf [4]Value
+	argv := buf[:0]
+	if len(e.args) > len(buf) {
+		argv = make([]Value, 0, len(e.args))
+	}
 	// isundefined must see the raw value, but that falls out naturally:
 	// UNDEFINED is a first-class value here.
-	for i, a := range ex.args {
-		argv[i] = evalIn(a, ctx)
+	for _, a := range e.args {
+		argv = append(argv, evalExpr(a, ctx))
 	}
-	switch ex.fn {
+	switch e.fn {
 	case "isundefined":
 		if len(argv) != 1 {
 			return ErrorValue()
@@ -49,7 +55,8 @@ func evalCall(ex callExpr, ctx *evalContext) Value {
 		}
 	}
 
-	num1 := func(f func(float64) Value) Value {
+	switch e.fn {
+	case "floor", "ceiling", "round", "int", "real":
 		if len(argv) != 1 {
 			return ErrorValue()
 		}
@@ -57,43 +64,19 @@ func evalCall(ex callExpr, ctx *evalContext) Value {
 		if !ok {
 			return ErrorValue()
 		}
-		return f(x)
-	}
-
-	switch ex.fn {
-	case "floor":
-		return num1(func(x float64) Value { return Int(int64(math.Floor(x))) })
-	case "ceiling":
-		return num1(func(x float64) Value { return Int(int64(math.Ceil(x))) })
-	case "round":
-		return num1(func(x float64) Value { return Int(int64(math.Round(x))) })
-	case "int":
-		return num1(func(x float64) Value { return Int(int64(x)) })
-	case "real":
-		return num1(Float)
+		switch e.fn {
+		case "floor":
+			return Int(int64(math.Floor(x)))
+		case "ceiling":
+			return Int(int64(math.Ceil(x)))
+		case "round":
+			return Int(int64(math.Round(x)))
+		case "int":
+			return Int(int64(x))
+		}
+		return Float(x)
 	case "min", "max":
-		if len(argv) < 1 {
-			return ErrorValue()
-		}
-		best, ok := argv[0].Number()
-		if !ok {
-			return ErrorValue()
-		}
-		allInt := argv[0].kind == Integer
-		for _, v := range argv[1:] {
-			x, ok := v.Number()
-			if !ok {
-				return ErrorValue()
-			}
-			allInt = allInt && v.kind == Integer
-			if (ex.fn == "min" && x < best) || (ex.fn == "max" && x > best) {
-				best = x
-			}
-		}
-		if allInt {
-			return Int(int64(best))
-		}
-		return Float(best)
+		return minMax(argv, e.fn == "max")
 	case "strcat":
 		var sb strings.Builder
 		for _, v := range argv {
@@ -153,12 +136,7 @@ func evalCall(ex callExpr, ctx *evalContext) Value {
 		if len(argv) != 2 || argv[0].kind != String || argv[1].kind != String {
 			return ErrorValue()
 		}
-		for _, part := range strings.Split(argv[1].s, ",") {
-			if strings.EqualFold(strings.TrimSpace(part), argv[0].s) {
-				return Bool(true)
-			}
-		}
-		return Bool(false)
+		return Bool(stringListMember(argv[0].s, argv[1].s))
 	case "stringlistsize":
 		if len(argv) != 1 || argv[0].kind != String {
 			return ErrorValue()
@@ -166,7 +144,57 @@ func evalCall(ex callExpr, ctx *evalContext) Value {
 		if strings.TrimSpace(argv[0].s) == "" {
 			return Int(0)
 		}
-		return Int(int64(len(strings.Split(argv[0].s, ","))))
+		return Int(int64(strings.Count(argv[0].s, ",") + 1))
 	}
 	return ErrorValue()
+}
+
+// minMax implements min and max over numeric arguments. All-integer
+// arguments compare and return as int64, exact beyond 2^53; any real
+// argument makes the comparison and the result real.
+func minMax(argv []Value, isMax bool) Value {
+	if len(argv) < 1 {
+		return ErrorValue()
+	}
+	allInt := true
+	for _, v := range argv {
+		if _, ok := v.Number(); !ok {
+			return ErrorValue()
+		}
+		allInt = allInt && v.kind == Integer
+	}
+	if allInt {
+		best := argv[0].i
+		for _, v := range argv[1:] {
+			if (isMax && v.i > best) || (!isMax && v.i < best) {
+				best = v.i
+			}
+		}
+		return Int(best)
+	}
+	best, _ := argv[0].Number()
+	for _, v := range argv[1:] {
+		x, _ := v.Number()
+		if (isMax && x > best) || (!isMax && x < best) {
+			best = x
+		}
+	}
+	return Float(best)
+}
+
+// stringListMember reports whether item equals, ignoring case, one of the
+// comma-separated entries of list with surrounding spaces trimmed. It walks
+// the list in place; an empty entry (including an empty list) matches only
+// an empty item.
+func stringListMember(item, list string) bool {
+	for {
+		entry, rest, more := strings.Cut(list, ",")
+		if strings.EqualFold(strings.TrimSpace(entry), item) {
+			return true
+		}
+		if !more {
+			return false
+		}
+		list = rest
+	}
 }

@@ -1,6 +1,7 @@
 package classad
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -463,6 +464,103 @@ func TestEvalPurityProperty(t *testing.T) {
 		b := Eval(e, ad)
 		if a.Kind() != b.Kind() || !a.Equal(b) {
 			t.Fatalf("%q evaluated differently: %v vs %v", src, a, b)
+		}
+	}
+}
+
+// Integer min and max stay exact above 2^53; any real argument keeps the
+// float comparison and a real result.
+func TestMinMaxIntegerPrecision(t *testing.T) {
+	cases := []struct {
+		src  string
+		want Value
+	}{
+		{"max(9007199254740993, 1)", Int(9007199254740993)},
+		{"min(9007199254740993, 9007199254740992)", Int(9007199254740992)},
+		{"min(-9007199254740993, 1)", Int(-9007199254740993)},
+		{"max(9223372036854775807, 9223372036854775806, 0)", Int(math.MaxInt64)},
+		{"min(-9223372036854775807 - 1, 0)", Int(math.MinInt64)},
+		{"min(3)", Int(3)},
+		{"max(2, 1.5)", Float(2)},
+		{"min(1, 2.5)", Float(1)},
+		{"max(9007199254740993, 0.5)", Float(9007199254740992)},
+		{"max()", ErrorValue()},
+		{`max(1, "a")`, ErrorValue()},
+		{"min(1, undefined)", UndefinedValue()},
+	}
+	for _, c := range cases {
+		got := evalStr(t, c.src)
+		if !got.identical(c.want) {
+			t.Errorf("%s = %v (%v), want %v (%v)", c.src, got, got.Kind(), c.want, c.want.Kind())
+		}
+	}
+}
+
+// Property: any string survives Ad.String → ParseAd, whatever escapes
+// strconv.Quote renders it with.
+func TestStringLiteralRoundTripProperty(t *testing.T) {
+	roundTrips := func(s string) bool {
+		ad := NewAd()
+		ad.SetString("s", s)
+		back, err := ParseAdString(ad.String())
+		if err != nil {
+			return false
+		}
+		got, ok := EvalAttr("s", back, nil).StringVal()
+		return ok && got == s
+	}
+	for _, s := range []string{"a\rb", "\a\b\f\v", "\x00", "\x7f", " ", "\xff\xfe", "\U0001F600", `back\slash "q"`} {
+		if !roundTrips(s) {
+			t.Errorf("%q does not round-trip", s)
+		}
+	}
+	if err := quick.Check(roundTrips, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Backslashes strconv.Quote never emits keep their literal meaning.
+func TestLexerKeepsUnknownEscapes(t *testing.T) {
+	for src, want := range map[string]string{
+		`"a\qb"`:    `a\qb`,
+		`"\'"`:      `\'`,
+		`"\101"`:    `\101`,
+		`"\xZZ"`:    `\xZZ`,
+		`"\ud800"`:  `\ud800`,
+		`"\x41é\t"`: "Aé\t",
+	} {
+		got, _ := Eval(MustParse(src), NewAd()).StringVal()
+		if got != want {
+			t.Errorf("%s lexes to %q, want %q", src, got, want)
+		}
+	}
+}
+
+// A held candidate is displaced only by a strictly higher job Rank, or an
+// equal one with a strictly higher target Rank; a held NaN stays.
+func TestBestOfferOrder(t *testing.T) {
+	job := MustParseAd("Rank = TARGET.r\n")
+	ad := func(src string) *Ad { return MustParseAd(src) }
+	nan := NewAd()
+	nan.SetFloat("r", math.NaN())
+	cases := []struct {
+		name  string
+		cands []*Ad
+		want  int
+	}{
+		{"tie keeps lowest index", []*Ad{nil, ad("r = 2\n"), ad("r = 2\n")}, 1},
+		{"target rank breaks tie", []*Ad{ad("r = 2\n"), ad("r = 2\nRank = 1\n")}, 1},
+		{"higher rank must still match", []*Ad{ad("r = 1\n"), ad("r = 5\nRequirements = false\n")}, 0},
+		{"NaN never displaces", []*Ad{ad("r = 1\n"), nan}, 0},
+		{"held NaN stays", []*Ad{nan, ad("r = 9\n")}, 0},
+		{"nothing matches", []*Ad{nil, ad("Requirements = undefined\n")}, -1},
+	}
+	for _, c := range cases {
+		if got := BestMatch(job, c.cands); got != c.want {
+			t.Errorf("%s: BestMatch = %d, want %d", c.name, got, c.want)
+		}
+		if got := refBestMatch(job, c.cands); got != c.want {
+			t.Errorf("%s: reference scan = %d, want %d", c.name, got, c.want)
 		}
 	}
 }

@@ -9,7 +9,10 @@ import (
 // ERROR rather than unbounded recursion (e.g. "a = b \n b = a").
 const maxEvalDepth = 64
 
-// evalContext carries the self/target ads during evaluation.
+// evalContext carries the self/target ads and the nesting depth during
+// evaluation. It is passed by value: each nested evaluation works on its
+// own copy one level deeper, so returning needs no bookkeeping and no
+// context reaches the heap.
 type evalContext struct {
 	my     *Ad
 	target *Ad
@@ -18,13 +21,13 @@ type evalContext struct {
 
 // Eval evaluates an expression in the context of ad my, with no target.
 func Eval(e Expr, my *Ad) Value {
-	return evalIn(e, &evalContext{my: my})
+	return evalExpr(e, evalContext{my: my})
 }
 
 // EvalWithTarget evaluates e with both MY and TARGET scopes bound, as the
 // matchmaker does.
 func EvalWithTarget(e Expr, my, target *Ad) Value {
-	return evalIn(e, &evalContext{my: my, target: target})
+	return evalExpr(e, evalContext{my: my, target: target})
 }
 
 // EvalAttr evaluates the named attribute of ad my; UNDEFINED if absent.
@@ -36,73 +39,52 @@ func EvalAttr(name string, my, target *Ad) Value {
 	return EvalWithTarget(e, my, target)
 }
 
-func evalIn(e Expr, ctx *evalContext) Value {
+// evalExpr enters one nested evaluation. Every node counts against
+// maxEvalDepth, including the expression an attribute reference resolves
+// to, so a reference cycle yields ERROR instead of recursing forever.
+func evalExpr(e Expr, ctx evalContext) Value {
 	ctx.depth++
-	defer func() { ctx.depth-- }()
 	if ctx.depth > maxEvalDepth {
 		return ErrorValue()
 	}
-	switch ex := e.(type) {
-	case litExpr:
-		return ex.v
-	case attrExpr:
-		return evalAttrRef(ex, ctx)
-	case unaryExpr:
-		return evalUnary(ex, ctx)
-	case binaryExpr:
-		return evalBinary(ex, ctx)
-	case condExpr:
-		c := evalIn(ex.cond, ctx)
-		if c.IsError() {
-			return c
-		}
-		if c.IsUndefined() {
-			return c
-		}
-		if c.IsTrue() {
-			return evalIn(ex.then, ctx)
-		}
-		return evalIn(ex.els, ctx)
-	case callExpr:
-		return evalCall(ex, ctx)
-	}
-	return ErrorValue()
+	return e.eval(ctx)
 }
 
-// evalAttrRef resolves an attribute reference. Unscoped references resolve
-// in MY first, then TARGET (old-ClassAd matchmaking lookup order).
-func evalAttrRef(ex attrExpr, ctx *evalContext) Value {
-	lookup := func(ad *Ad) (Value, bool) {
-		if ad == nil {
-			return UndefinedValue(), false
-		}
-		e, ok := ad.Get(ex.name)
-		if !ok {
-			return UndefinedValue(), false
-		}
-		return evalIn(e, ctx), true
+func (e *litExpr) eval(evalContext) Value { return e.v }
+
+// eval resolves an attribute reference. Unscoped references resolve in MY
+// first, then TARGET (old-ClassAd matchmaking lookup order).
+func (e *attrExpr) eval(ctx evalContext) Value {
+	switch e.scope {
+	case scopeMy:
+		return evalRef(ctx.my, e.name, ctx)
+	case scopeTarget:
+		return evalRef(ctx.target, e.name, ctx)
 	}
-	switch ex.scope {
-	case "my":
-		v, _ := lookup(ctx.my)
-		return v
-	case "target":
-		v, _ := lookup(ctx.target)
-		return v
-	default:
-		if v, ok := lookup(ctx.my); ok {
-			return v
+	if ctx.my != nil {
+		if x, ok := ctx.my.attrs[e.name]; ok {
+			return evalExpr(x, ctx)
 		}
-		if v, ok := lookup(ctx.target); ok {
-			return v
-		}
+	}
+	return evalRef(ctx.target, e.name, ctx)
+}
+
+// evalRef evaluates ad's binding of the lower-cased name; UNDEFINED when
+// ad is nil or lacks it.
+func evalRef(ad *Ad, name string, ctx evalContext) Value {
+	if ad == nil {
 		return UndefinedValue()
 	}
+	x, ok := ad.attrs[name]
+	if !ok {
+		return UndefinedValue()
+	}
+	return evalExpr(x, ctx)
 }
 
-func evalUnary(ex unaryExpr, ctx *evalContext) Value {
-	x := evalIn(ex.x, ctx)
-	switch ex.op {
+func (e *unaryExpr) eval(ctx evalContext) Value {
+	x := evalExpr(e.x, ctx)
+	switch e.op {
 	case tokNot:
 		switch x.kind {
 		case Boolean:
@@ -129,26 +111,21 @@ func evalUnary(ex unaryExpr, ctx *evalContext) Value {
 	return ErrorValue()
 }
 
-func evalBinary(ex binaryExpr, ctx *evalContext) Value {
-	// Meta-operators never propagate UNDEFINED: they test identity.
-	if ex.op == tokMetaEq || ex.op == tokMetaNe {
-		l := evalIn(ex.l, ctx)
-		r := evalIn(ex.r, ctx)
-		eq := l.Equal(r)
-		if ex.op == tokMetaNe {
-			eq = !eq
-		}
-		return Bool(eq)
+func (e *binaryExpr) eval(ctx evalContext) Value {
+	switch e.op {
+	case tokMetaEq, tokMetaNe:
+		// Meta-operators never propagate UNDEFINED: they test identity.
+		l := evalExpr(e.l, ctx)
+		r := evalExpr(e.r, ctx)
+		return Bool(l.Equal(r) == (e.op == tokMetaEq))
+	case tokAnd, tokOr:
+		// Short-circuit logic with three-valued semantics:
+		// FALSE && x == FALSE; TRUE || x == TRUE even if x is UNDEFINED.
+		return e.evalLogic(ctx)
 	}
 
-	// Short-circuit logic with three-valued semantics:
-	// FALSE && x == FALSE; TRUE || x == TRUE even if x is UNDEFINED.
-	if ex.op == tokAnd || ex.op == tokOr {
-		return evalLogic(ex, ctx)
-	}
-
-	l := evalIn(ex.l, ctx)
-	r := evalIn(ex.r, ctx)
+	l := evalExpr(e.l, ctx)
+	r := evalExpr(e.r, ctx)
 	if l.IsError() || r.IsError() {
 		return ErrorValue()
 	}
@@ -156,11 +133,11 @@ func evalBinary(ex binaryExpr, ctx *evalContext) Value {
 		return UndefinedValue()
 	}
 
-	switch ex.op {
+	switch e.op {
 	case tokPlus, tokMinus, tokStar, tokSlash, tokPercent:
-		return evalArith(ex.op, l, r)
+		return evalArith(e.op, l, r)
 	case tokEq, tokNe, tokLt, tokLe, tokGt, tokGe:
-		return evalCompare(ex.op, l, r)
+		return evalCompare(e.op, l, r)
 	}
 	return ErrorValue()
 }
@@ -176,17 +153,17 @@ func toTri(v Value) (val bool, undef, errv bool) {
 	}
 }
 
-func evalLogic(ex binaryExpr, ctx *evalContext) Value {
-	l := evalIn(ex.l, ctx)
+func (e *binaryExpr) evalLogic(ctx evalContext) Value {
+	l := evalExpr(e.l, ctx)
 	lv, lu, le := toTri(l)
-	if ex.op == tokAnd {
+	if e.op == tokAnd {
 		if le {
 			return ErrorValue()
 		}
 		if !lu && !lv {
 			return Bool(false)
 		}
-		r := evalIn(ex.r, ctx)
+		r := evalExpr(e.r, ctx)
 		rv, ru, re := toTri(r)
 		if re {
 			return ErrorValue()
@@ -206,7 +183,7 @@ func evalLogic(ex binaryExpr, ctx *evalContext) Value {
 	if !lu && lv {
 		return Bool(true)
 	}
-	r := evalIn(ex.r, ctx)
+	r := evalExpr(e.r, ctx)
 	rv, ru, re := toTri(r)
 	if re {
 		return ErrorValue()
@@ -218,6 +195,17 @@ func evalLogic(ex binaryExpr, ctx *evalContext) Value {
 		return UndefinedValue()
 	}
 	return Bool(false)
+}
+
+func (e *condExpr) eval(ctx evalContext) Value {
+	c := evalExpr(e.cond, ctx)
+	if c.IsError() || c.IsUndefined() {
+		return c
+	}
+	if c.IsTrue() {
+		return evalExpr(e.then, ctx)
+	}
+	return evalExpr(e.els, ctx)
 }
 
 func evalArith(op tokenKind, l, r Value) Value {

@@ -2,6 +2,7 @@ package classad
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -135,20 +136,7 @@ func (l *lexer) next() (token, error) {
 				return token{kind: tokString, text: sb.String(), pos: start}, nil
 			}
 			if ch == '\\' && l.pos+1 < len(l.src) {
-				l.pos++
-				esc := l.src[l.pos]
-				switch esc {
-				case 'n':
-					sb.WriteRune('\n')
-				case 't':
-					sb.WriteRune('\t')
-				case '\\', '"':
-					sb.WriteRune(esc)
-				default:
-					sb.WriteRune('\\')
-					sb.WriteRune(esc)
-				}
-				l.pos++
+				l.escape(&sb)
 				continue
 			}
 			sb.WriteRune(ch)
@@ -221,6 +209,35 @@ func (l *lexer) next() (token, error) {
 		return two(tokGt, 1)
 	}
 	return token{}, fmt.Errorf("classad: unexpected character %q at %d", c, start)
+}
+
+// quoteEscapes are the escape letters strconv.Quote emits, which is how
+// Value.String renders strings: \a \b \f \n \r \t \v \\ \" and the
+// numeric \xNN, \uNNNN and \UNNNNNNNN forms.
+const quoteEscapes = `abfnrtv\"xuU`
+
+// escape decodes the backslash escape at l.pos into sb and advances past
+// it. Every escape strconv.Quote emits decodes, so a rendered string lexes
+// back to itself; any other backslash is kept literally, with the
+// character after it.
+func (l *lexer) escape(sb *strings.Builder) {
+	esc := l.src[l.pos+1]
+	if strings.ContainsRune(quoteEscapes, esc) {
+		tail := string(l.src[l.pos:min(l.pos+10, len(l.src))])
+		if v, multibyte, rest, err := strconv.UnquoteChar(tail, '"'); err == nil {
+			if multibyte {
+				sb.WriteRune(v)
+			} else {
+				sb.WriteByte(byte(v)) // \xNN is a raw byte
+			}
+			// The escape itself is ASCII, so bytes consumed = runes consumed.
+			l.pos += len(tail) - len(rest)
+			return
+		}
+	}
+	sb.WriteRune('\\')
+	sb.WriteRune(esc)
+	l.pos += 2
 }
 
 func lexAll(src string) ([]token, error) {

@@ -6,17 +6,29 @@ import (
 	"strings"
 )
 
-// Expr is a parsed ClassAd expression.
+// Expr is a parsed ClassAd expression. Nodes are immutable once parsed,
+// so ads and their clones share them freely.
 type Expr interface {
 	// String renders the expression back to parseable source.
 	String() string
+	// eval evaluates the node; ctx.depth already counts it (see evalExpr).
+	eval(ctx evalContext) Value
 }
 
 type litExpr struct{ v Value }
 
+// scope qualifies an attribute reference.
+type scope uint8
+
+const (
+	scopeNone   scope = iota // unscoped: MY first, then TARGET
+	scopeMy                  // MY.name
+	scopeTarget              // TARGET.name
+)
+
 type attrExpr struct {
-	scope string // "", "my", or "target"
-	name  string
+	scope scope
+	name  string // lower-cased by the parser, so it is the Ad's map key
 }
 
 type unaryExpr struct {
@@ -34,20 +46,23 @@ type condExpr struct {
 }
 
 type callExpr struct {
-	fn   string
+	fn   string // lower-cased
 	args []Expr
 }
 
-func (e litExpr) String() string { return e.v.String() }
+func (e *litExpr) String() string { return e.v.String() }
 
-func (e attrExpr) String() string {
-	if e.scope != "" {
-		return e.scope + "." + e.name
+func (e *attrExpr) String() string {
+	switch e.scope {
+	case scopeMy:
+		return "my." + e.name
+	case scopeTarget:
+		return "target." + e.name
 	}
 	return e.name
 }
 
-func (e unaryExpr) String() string {
+func (e *unaryExpr) String() string {
 	op := "!"
 	if e.op == tokMinus {
 		op = "-"
@@ -62,15 +77,15 @@ var opText = map[tokenKind]string{
 	tokMetaEq: "=?=", tokMetaNe: "=!=",
 }
 
-func (e binaryExpr) String() string {
+func (e *binaryExpr) String() string {
 	return "(" + e.l.String() + " " + opText[e.op] + " " + e.r.String() + ")"
 }
 
-func (e condExpr) String() string {
+func (e *condExpr) String() string {
 	return "(" + e.cond.String() + " ? " + e.then.String() + " : " + e.els.String() + ")"
 }
 
-func (e callExpr) String() string {
+func (e *callExpr) String() string {
 	parts := make([]string, len(e.args))
 	for i, a := range e.args {
 		parts[i] = a.String()
@@ -157,7 +172,7 @@ func (p *parser) parseCond() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return condExpr{cond: c, then: then, els: els}, nil
+	return &condExpr{cond: c, then: then, els: els}, nil
 }
 
 func (p *parser) parseBinaryChain(sub func() (Expr, error), ops ...tokenKind) (Expr, error) {
@@ -182,7 +197,7 @@ func (p *parser) parseBinaryChain(sub func() (Expr, error), ops ...tokenKind) (E
 		if err != nil {
 			return nil, err
 		}
-		l = binaryExpr{op: k, l: l, r: r}
+		l = &binaryExpr{op: k, l: l, r: r}
 	}
 }
 
@@ -215,14 +230,14 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return unaryExpr{op: tokNot, x: x}, nil
+		return &unaryExpr{op: tokNot, x: x}, nil
 	case tokMinus:
 		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return unaryExpr{op: tokMinus, x: x}, nil
+		return &unaryExpr{op: tokMinus, x: x}, nil
 	case tokPlus:
 		p.advance()
 		return p.parseUnary()
@@ -239,17 +254,17 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("classad: bad integer %q: %v", t.text, err)
 		}
-		return litExpr{Int(i)}, nil
+		return &litExpr{Int(i)}, nil
 	case tokReal:
 		p.advance()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("classad: bad real %q: %v", t.text, err)
 		}
-		return litExpr{Float(f)}, nil
+		return &litExpr{Float(f)}, nil
 	case tokString:
 		p.advance()
-		return litExpr{Str(t.text)}, nil
+		return &litExpr{Str(t.text)}, nil
 	case tokLParen:
 		p.advance()
 		e, err := p.parseCond()
@@ -265,13 +280,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		lower := strings.ToLower(t.text)
 		switch lower {
 		case "true":
-			return litExpr{Bool(true)}, nil
+			return &litExpr{Bool(true)}, nil
 		case "false":
-			return litExpr{Bool(false)}, nil
+			return &litExpr{Bool(false)}, nil
 		case "undefined":
-			return litExpr{UndefinedValue()}, nil
+			return &litExpr{UndefinedValue()}, nil
 		case "error":
-			return litExpr{ErrorValue()}, nil
+			return &litExpr{ErrorValue()}, nil
 		}
 		if p.cur().kind == tokLParen {
 			p.advance()
@@ -292,7 +307,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(tokRParen, "')' after arguments"); err != nil {
 				return nil, err
 			}
-			return callExpr{fn: lower, args: args}, nil
+			return &callExpr{fn: lower, args: args}, nil
 		}
 		if (lower == "my" || lower == "target") && p.cur().kind == tokDot {
 			p.advance()
@@ -300,9 +315,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return attrExpr{scope: lower, name: strings.ToLower(name.text)}, nil
+			sc := scopeMy
+			if lower == "target" {
+				sc = scopeTarget
+			}
+			return &attrExpr{scope: sc, name: strings.ToLower(name.text)}, nil
 		}
-		return attrExpr{name: lower}, nil
+		return &attrExpr{name: lower}, nil
 	}
 	return nil, fmt.Errorf("classad: unexpected token %s", t)
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // Kind enumerates value types.
-type Kind int
+type Kind uint8
 
 // Value kinds. Undefined and Error are first-class values, not Go errors:
 // ClassAd evaluation never fails, it produces ERROR.
@@ -138,6 +138,14 @@ func (v Value) String() string {
 		return strconv.Quote(v.s)
 	}
 	return "ERROR"
+}
+
+// identical reports whether v and o have the same kind and the same
+// content bit for bit. Unlike Equal it does not promote 1 to 1.0, and it
+// tells 0.0 from -0.0: identical values render identically.
+func (v Value) identical(o Value) bool {
+	return v.kind == o.kind && v.b == o.b && v.i == o.i && v.s == o.s &&
+		math.Float64bits(v.f) == math.Float64bits(o.f)
 }
 
 // Equal implements =?= (is-identical-to): same kind and same content, with

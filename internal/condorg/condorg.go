@@ -179,10 +179,10 @@ type Schedd struct {
 	// what bounds cost when a production burst outruns a 1000-site grid.
 	fullCount int
 
-	// Scratch buffers reused across matchmaking scans; rebuilt from
-	// scratch per call, so only their backing arrays persist.
-	adScratch    []*classad.Ad
-	availScratch []*Resource
+	// spareIdle is the previous cycle's drained idle queue, kept empty:
+	// Negotiate refills it as the next idle queue instead of growing a
+	// fresh one every cycle.
+	spareIdle []*GridJob
 
 	// Region-sharded matchmaking (SetParallel). The candidate scan is pure
 	// — eligibility, ClassAd matching, and ranking only read schedd and
@@ -192,9 +192,9 @@ type Schedd struct {
 	// tie-break exactly. nil pool keeps the serial scan.
 	pool        *sim.EvalPool
 	regions     int
-	chunkStarts []int        // chunkStarts[r] = first list index of region r
-	chunkDirty  bool         // list changed since chunkStarts was built
-	chunkBest   []chunkMatch // per-chunk scan results, reused
+	chunkStarts []int          // chunkStarts[r] = first list index of region r
+	chunkDirty  bool           // list changed since chunkStarts was built
+	chunkBest   []classad.Best // per-chunk scan results, reused
 
 	// MaxMatchesPerCycle bounds matchmaking work per negotiation cycle;
 	// excess idle jobs wait for the next cycle (0 = unlimited).
@@ -373,9 +373,11 @@ func (s *Schedd) Negotiate() {
 		return
 	}
 	// Drain the queue first: launch failures and asynchronous remote
-	// failures requeue onto the fresh s.idle without being clobbered.
+	// failures requeue onto the fresh s.idle without being clobbered. The
+	// fresh queue reuses the last cycle's drained buffer; taking it out of
+	// spareIdle keeps a nested cycle from refilling the same array.
 	jobs := s.idle
-	s.idle = nil
+	s.idle, s.spareIdle = s.spareIdle[:0], nil
 	matches, placed := 0, 0
 	for _, j := range jobs {
 		if s.MaxMatchesPerCycle > 0 && matches >= s.MaxMatchesPerCycle {
@@ -401,6 +403,8 @@ func (s *Schedd) Negotiate() {
 	if in := s.Ins; in != nil && placed > 0 {
 		in.CyclePlacements.Observe(float64(placed))
 	}
+	clear(jobs) // drop the job pointers so finished jobs can be collected
+	s.spareIdle = jobs[:0]
 }
 
 // excluded reports whether a resource is breaker-blocked, preferring the
@@ -410,6 +414,12 @@ func (s *Schedd) excluded(r *Resource) bool {
 		return r.Excluded()
 	}
 	return s.Exclude != nil && s.Exclude(r.Name)
+}
+
+// eligible reports whether r may take a new submission now: GridManager
+// throttle headroom, no backoff pending, and no open health breaker.
+func (s *Schedd) eligible(r *Resource, now time.Duration) bool {
+	return !r.full() && now >= r.backoffUntil && !s.excluded(r)
 }
 
 // pickResource selects the target for a job, honoring pinning, throttles,
@@ -443,38 +453,29 @@ func (s *Schedd) pickResource(j *GridJob, now time.Duration) *Resource {
 			pinnedOnly = true
 		}
 	}
-	eligible := func(r *Resource) bool {
-		return !r.full() && now >= r.backoffUntil && !s.excluded(r)
-	}
 	pick := func(avoidFailed bool) *Resource {
-		if s.pool != nil && !pinnedOnly {
-			return s.pickParallel(j, now, avoidFailed)
-		}
-		ads := s.adScratch[:0]
-		avail := s.availScratch[:0]
 		if pinnedOnly {
-			if pinned != nil && eligible(pinned) && !(avoidFailed && j.avoid[pinned]) {
-				ads = append(ads, pinned.AdFunc())
-				avail = append(avail, pinned)
+			if pinned == nil || !s.eligible(pinned, now) || (avoidFailed && j.avoid[pinned]) {
+				return nil
 			}
-		} else {
-			for _, r := range s.list {
-				if !eligible(r) {
-					continue
-				}
-				if avoidFailed && j.avoid[r] {
-					continue
-				}
-				ads = append(ads, r.AdFunc())
-				avail = append(avail, r)
+			if ad := pinned.AdFunc(); ad != nil && classad.Match(j.Ad, ad) {
+				return pinned
 			}
-		}
-		s.adScratch, s.availScratch = ads, avail
-		best := classad.BestMatch(j.Ad, ads)
-		if best < 0 {
 			return nil
 		}
-		return avail[best]
+		if s.pool != nil {
+			return s.pickParallel(j, now, avoidFailed)
+		}
+		var b classad.Best
+		for i, r := range s.list {
+			if s.eligible(r, now) && !(avoidFailed && j.avoid[r]) {
+				b.Offer(i, j.Ad, r.AdFunc())
+			}
+		}
+		if b.Index() < 0 {
+			return nil
+		}
+		return s.list[b.Index()]
 	}
 	// Prefer a site the job has not failed at; if avoidance filters out
 	// every eligible resource, fall back to the full set rather than
@@ -485,13 +486,6 @@ func (s *Schedd) pickResource(j *GridJob, now time.Duration) *Resource {
 		}
 	}
 	return pick(false)
-}
-
-// chunkMatch is one region chunk's scan result: the best candidate's global
-// list index and its (job-rank, target-rank) key, or idx -1 for no match.
-type chunkMatch struct {
-	idx         int
-	rank, trank float64
 }
 
 // evalSubChunks splits every region into this many evaluation sub-chunks.
@@ -541,55 +535,35 @@ func (s *Schedd) rebuildChunks() {
 }
 
 // pickParallel is the sharded matchmaking scan: each region chunk finds its
-// local best on an eval-pool worker, then the chunk results reduce in
-// ascending region order with the exact BestMatch comparison (higher job
-// rank, then higher target rank, strictly), which preserves the serial
-// scan's lowest-index tie-break — so the sharded pick is bit-identical to
-// the serial one.
+// local best on an eval-pool worker, then the chunk results merge in
+// ascending region order with the same classad.Best comparison, which
+// preserves the serial scan's lowest-index tie-break — so for the non-NaN
+// ranks grid job ads produce, the sharded pick is bit-identical to the
+// serial one (see classad.Best.Merge).
 func (s *Schedd) pickParallel(j *GridJob, now time.Duration, avoidFailed bool) *Resource {
 	s.rebuildChunks()
 	n := s.regions * evalSubChunks
 	if cap(s.chunkBest) < n {
-		s.chunkBest = make([]chunkMatch, n)
+		s.chunkBest = make([]classad.Best, n)
 	}
 	res := s.chunkBest[:n]
 	s.pool.Map(n, func(c int) {
-		best := -1
-		var br, btr float64
+		var b classad.Best
 		for i := s.chunkStarts[c]; i < s.chunkStarts[c+1]; i++ {
-			r := s.list[i]
-			if r.full() || now < r.backoffUntil || s.excluded(r) {
-				continue
-			}
-			if avoidFailed && j.avoid[r] {
-				continue
-			}
-			ad := r.AdFunc()
-			if ad == nil || !classad.Match(j.Ad, ad) {
-				continue
-			}
-			rk := classad.Rank(j.Ad, ad)
-			trk := classad.Rank(ad, j.Ad)
-			if best == -1 || rk > br || (rk == br && trk > btr) {
-				best, br, btr = i, rk, trk
+			if r := s.list[i]; s.eligible(r, now) && !(avoidFailed && j.avoid[r]) {
+				b.Offer(i, j.Ad, r.AdFunc())
 			}
 		}
-		res[c] = chunkMatch{idx: best, rank: br, trank: btr}
+		res[c] = b
 	})
-	best := -1
-	var br, btr float64
-	for _, cm := range res {
-		if cm.idx < 0 {
-			continue
-		}
-		if best == -1 || cm.rank > br || (cm.rank == br && cm.trank > btr) {
-			best, br, btr = cm.idx, cm.rank, cm.trank
-		}
+	var best classad.Best
+	for _, b := range res {
+		best.Merge(b)
 	}
-	if best < 0 {
+	if best.Index() < 0 {
 		return nil
 	}
-	return s.list[best]
+	return s.list[best.Index()]
 }
 
 // Job returns a submitted job by schedd-side ID — the §8 troubleshooting

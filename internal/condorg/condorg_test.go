@@ -427,3 +427,32 @@ func TestAvoidFailedSitesSteersRetry(t *testing.T) {
 		t.Fatalf("failed site %q not recorded: %v", first, j.avoid)
 	}
 }
+
+// A negotiation cycle over an idle queue that cannot be placed refills the
+// previous cycle's drained buffer, so its allocations do not grow with the
+// queue.
+func TestNegotiateSteadyQueueAllocations(t *testing.T) {
+	cycleAllocs := func(queued int) float64 {
+		eng := sim.NewEngine(sim.Grid3Epoch)
+		s := New(eng, 0)
+		ad := (&glue.CE{
+			ID: "BNL", SiteName: "BNL", Host: "BNL", LRMSType: glue.PBS, TotalCPUs: 8, FreeCPUs: 8,
+			MaxWallTime: 100 * time.Hour, VOs: []string{"usatlas"},
+		}).Ad()
+		s.AddResource(&Resource{Name: "BNL", AdFunc: func() *classad.Ad { return ad }})
+		for i := 0; i < queued; i++ {
+			j := gridJob(fmt.Sprintf("cms%d", i), time.Hour)
+			j.Spec.VO = "uscms" // BNL does not support uscms
+			s.Submit(j)
+		}
+		s.Negotiate() // the first cycle leaves a drained buffer behind
+		allocs := testing.AllocsPerRun(10, s.Negotiate)
+		if s.IdleCount() != queued {
+			t.Fatalf("idle = %d, want %d", s.IdleCount(), queued)
+		}
+		return allocs
+	}
+	if small, large := cycleAllocs(10), cycleAllocs(2000); large > small {
+		t.Fatalf("a cycle over 2000 idle jobs made %v allocations, over 10 made %v", large, small)
+	}
+}

@@ -170,13 +170,12 @@ type Node struct {
 	archQueue []string // archive-file FIFO for tape-migration cleanup
 	archBytes int64    // bytes held by archived outputs (not scratch)
 
-	// adCache memoizes the CE ClassAd for a short virtual interval,
-	// mirroring a real Condor collector's refresh period: matchmaking
-	// sees at-most-minutes-stale resource state instead of rebuilding
-	// the ad for every (job, resource) pair.
+	// adCache is the CE ClassAd, built once and refreshed in place after
+	// a short virtual interval, mirroring a real Condor collector's
+	// refresh period: matchmaking sees at-most-minutes-stale resource
+	// state instead of rebuilding the ad for every (job, resource) pair.
 	adCache   *classad.Ad
 	adCacheAt time.Duration
-	adCacheOK bool
 }
 
 // adTTL is how long a cached CE ad stays fresh (the collector update
@@ -909,15 +908,20 @@ func appPackages() map[string]string {
 	}
 }
 
-// ceAd renders a node's live computing-element ClassAd.
+// ceAd renders a node's live computing-element ClassAd. The first call
+// builds it; once it is older than adTTL, a call rewrites only the load
+// attributes, the one part of g.ce(n) that changes after a node is built.
 func (g *Grid) ceAd(n *Node) *classad.Ad {
 	now := g.Eng.Now()
-	if n.adCacheOK && now-n.adCacheAt <= adTTL {
+	switch {
+	case n.adCache == nil:
+		n.adCache = g.ce(n).Ad()
+	case now-n.adCacheAt > adTTL:
+		glue.SetAdLoad(n.adCache, n.Batch.FreeSlots(), n.Batch.RunningCount(), n.Batch.QueuedCount())
+	default:
 		return n.adCache
 	}
-	n.adCache = g.ce(n).Ad()
 	n.adCacheAt = now
-	n.adCacheOK = true
 	return n.adCache
 }
 

@@ -92,9 +92,7 @@ func (ce *CE) Ad() *classad.Ad {
 	ad.SetString("GatekeeperHost", ce.Host)
 	ad.SetString("LRMS", string(ce.LRMSType))
 	ad.SetInt("TotalCpus", int64(ce.TotalCPUs))
-	ad.SetInt("FreeCpus", int64(ce.FreeCPUs))
-	ad.SetInt("RunningJobs", int64(ce.RunningJobs))
-	ad.SetInt("WaitingJobs", int64(ce.WaitingJobs))
+	SetAdLoad(ad, ce.FreeCPUs, ce.RunningJobs, ce.WaitingJobs)
 	ad.SetInt("MaxWallTime", int64(ce.MaxWallTime/time.Second))
 	ad.SetString("SupportedVOs", strings.Join(ce.VOs, ","))
 	ad.SetBool("OutboundIP", ce.OutboundIP)
@@ -106,6 +104,16 @@ func (ce *CE) Ad() *classad.Ad {
 	// walltime limit.
 	ad.Set("Requirements", ceRequirements)
 	return ad
+}
+
+// SetAdLoad rewrites the load attributes of an ad rendered by CE.Ad. Free
+// CPUs and running and waiting jobs are the only CE fields that change
+// once a site is built, so a collector refresh rewrites just these, and
+// an unchanged value costs no allocation.
+func SetAdLoad(ad *classad.Ad, freeCPUs, running, waiting int) {
+	ad.SetInt("FreeCpus", int64(freeCPUs))
+	ad.SetInt("RunningJobs", int64(running))
+	ad.SetInt("WaitingJobs", int64(waiting))
 }
 
 // ceRequirements is parsed once: Ad() runs on every matchmaking pass, and

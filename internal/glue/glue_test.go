@@ -123,3 +123,70 @@ func TestSubClusterAttributes(t *testing.T) {
 		t.Fatalf("logical CPUs = %v", attrs["GlueSubClusterLogicalCPUs"])
 	}
 }
+
+func TestSetAdLoadRewritesLoadInPlace(t *testing.T) {
+	ce := validCE()
+	ad := ce.Ad()
+	ce.FreeCPUs, ce.RunningJobs, ce.WaitingJobs = 3, 5, 7
+	SetAdLoad(ad, ce.FreeCPUs, ce.RunningJobs, ce.WaitingJobs)
+	if got, want := ad.String(), ce.Ad().String(); got != want {
+		t.Fatalf("refreshed ad:\n%s\nfresh ad:\n%s", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { SetAdLoad(ad, 3, 5, 7) }); allocs != 0 {
+		t.Fatalf("unchanged load refresh made %v allocations, want 0", allocs)
+	}
+}
+
+// ceAds renders n CE ads shaped like the scaled testbed's: mixed VO lists
+// and walltime limits, and loads that tie.
+func ceAds(n int) []*classad.Ad {
+	vos := [][]string{{"ivdgl", "usatlas"}, {"uscms"}, {"ligo", "sdss", "usatlas", "uscms"}, {"btev", "ivdgl"}}
+	ads := make([]*classad.Ad, n)
+	for i := range ads {
+		ce := validCE()
+		ce.FreeCPUs = (i * 7) % 13
+		ce.WaitingJobs = (i * 5) % 3
+		ce.MaxWallTime = time.Duration(24+i%3*24) * time.Hour
+		ce.VOs = vos[i%len(vos)]
+		ads[i] = ce.Ad()
+	}
+	return ads
+}
+
+// jobAd is a Grid3 job ad as the grid and Condor-G build it.
+func jobAd(vo string, wall time.Duration) *classad.Ad {
+	ad := classad.NewAd()
+	ad.Set("Rank", classad.MustParse("TARGET.FreeCpus - TARGET.WaitingJobs"))
+	ad.SetString("VO", vo)
+	ad.SetInt("WallTime", int64(wall/time.Second))
+	return ad
+}
+
+func TestBestMatchOverCEAdsAllocatesNothing(t *testing.T) {
+	ads := ceAds(1000)
+	job := jobAd("uscms", 36*time.Hour)
+	want, bestRank := -1, 0.0
+	for i, ad := range ads {
+		if r := classad.Rank(job, ad); classad.Match(job, ad) && (want < 0 || r > bestRank) {
+			want, bestRank = i, r
+		}
+	}
+	if got := classad.BestMatch(job, ads); want < 0 || got != want {
+		t.Fatalf("BestMatch = %d, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { classad.BestMatch(job, ads) }); allocs != 0 {
+		t.Fatalf("BestMatch over %d CE ads made %v allocations, want 0", len(ads), allocs)
+	}
+}
+
+// BenchmarkBestMatchCEAds is one unpinned placement scan on the 1000-site
+// testbed, which sees about 775 eligible CEs.
+func BenchmarkBestMatchCEAds(b *testing.B) {
+	ads := ceAds(775)
+	job := jobAd("uscms", 36*time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		classad.BestMatch(job, ads)
+	}
+}
