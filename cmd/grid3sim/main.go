@@ -17,33 +17,25 @@
 //
 // Fault management: -health arms read-only site probing with circuit
 // breakers and iGOC tickets; -recovery closes the loop (breaker-aware
-// matchmaking and planning, replica failover, bounded stage retries). The
-// chaos campaign mode sweeps failure intensity across seeds, running a
-// no-reaction baseline and a recovery run at every point:
-//
-//	grid3sim -chaos 1,2,4 -seeds 1,2,3 -scale 0.05 -days 30 [-json-out out.json]
+// matchmaking and planning, replica failover, bounded stage retries).
 //
 // Testbed scaling: -sites N grows the site population past the historical
-// 27 with a seeded synthetic generator (N <= 27 is a catalog prefix). The
-// scale-sweep mode measures simulation cost across populations:
+// 27 with a seeded synthetic generator (N <= 27 is a catalog prefix):
 //
 //	grid3sim -sites 1000 -days 1
-//	grid3sim -scale-sweep 27,100,300,1000 -days 1 [-json-out out.json]
 //
-// Sharding: -shards N partitions the testbed into N regions and runs the
-// pure per-region evaluation phases on a worker goroutine each. The run's
-// output is bit-identical to -shards 1 at every N; the bench record gains
-// a parallel_speedup field (total region work over the critical path):
+// Parallel matchmaking: -shards N partitions the testbed into N regions
+// and runs the Condor-G candidate scan on a worker goroutine per region.
+// The run's output is bit-identical to -shards 1 at every N; the bench
+// record gains a parallel_speedup field (total region work over the
+// critical path):
 //
 //	grid3sim -sites 1000 -days 1 -shards 4 -json-out bench.json
 //
 // Data plane: -doors bounds concurrent GridFTP flows per endpoint (excess
 // transfers queue FIFO), -cleanup arms the SRM lifecycle loop (scheduled
 // reservation expiry, pins, watermark eviction), and -replica-rank picks
-// Pegasus stage-in sources by live WAN load. The data campaign scores the
-// raw-GridFTP baseline against the managed plane per seed:
-//
-//	grid3sim -data-sweep -seeds 1,2,3 -days 30 -scale 0.05 -doors 4 [-json-out out.json]
+// Pegasus stage-in sources by live WAN load.
 //
 // Checkpoint/restore: -checkpoint-at pauses a single-seed run at the listed
 // sim times and commits a snapshot to the -checkpoint-out file (capture is a
@@ -60,11 +52,9 @@
 // batch-full or window expiry (-ingest-window, default the monitor
 // interval) and commit through a single writer. Output is bit-identical
 // to the per-event path at every N; windows double as accounting
-// periods, sealing per-VO Merkle usage roots. The ingest-sweep mode
-// measures the pipeline and audit-verifies the ledger:
+// periods, sealing per-VO Merkle usage roots:
 //
 //	grid3sim -days 20 -scale 0.1 -ingest-batch 256
-//	grid3sim -ingest-sweep [-json-out out.json]
 //
 // Warm starts fork one checkpointed steady state into variants that share
 // the verified warmup but draw their failure futures from per-variant
@@ -73,10 +63,13 @@
 //	grid3sim -restore snap.g3 -warm-seeds 0,101,102,103 [-json-out warm.json]
 //
 // Every mode writes its report JSON through the one -json-out flag; the
-// report schema follows the mode (chaos, scale sweep, data sweep, ingest
-// sweep, seed sweep, warm start, or the single-run bench record):
+// report schema follows the mode (seed sweep, warm start, or the
+// single-run bench record).
 //
-//	grid3sim -chaos 1,2,4 -seeds 1,2,3 -json-out chaos.json
+// The chaos, testbed-scale, data-plane and ingestion campaigns are
+// declared in experiments/core.json and run by cmd/grid3exp:
+//
+//	grid3exp run experiments/core.json -only chaos
 package main
 
 import (
@@ -99,18 +92,6 @@ import (
 )
 
 func main() {
-	// The mode-specific JSON aliases (-bench-json, -chaos-json, -scale-json,
-	// -data-json) were collapsed into -json-out; catch stragglers before
-	// flag.Parse would dump the whole usage text at them.
-	for _, arg := range os.Args[1:] {
-		name := strings.TrimLeft(strings.SplitN(arg, "=", 2)[0], "-")
-		switch name {
-		case "bench-json", "chaos-json", "scale-json", "data-json":
-			fmt.Fprintf(os.Stderr, "grid3sim: -%s was removed; every mode writes its report through -json-out now\n", name)
-			os.Exit(2)
-		}
-	}
-
 	seed := flag.Int64("seed", 1, "simulation seed (same seed, same run)")
 	seedList := flag.String("seeds", "", "comma-separated seed list: sweep all of them in parallel")
 	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS)")
@@ -125,17 +106,13 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "enable metrics and write the registry snapshot (text) to this file")
 	healthOn := flag.Bool("health", false, "arm site health probing with circuit breakers (read-only)")
 	recoveryOn := flag.Bool("recovery", false, "close the fault-management loop (implies -health)")
-	chaosList := flag.String("chaos", "", "comma-separated failure intensities: run the chaos campaign over seeds x intensities")
 	sites := flag.Int("sites", 0, "testbed size: 0 = the historical 27-site catalog, larger adds synthetic sites")
-	scaleSweepList := flag.String("scale-sweep", "", "comma-separated site counts: run the testbed scale sweep")
 	doors := flag.Int("doors", 0, "bound concurrent GridFTP flows per endpoint (0 = historical unbounded WAN)")
 	cleanupOn := flag.Bool("cleanup", false, "arm the SRM lifecycle loop (scheduled expiry, pins, watermark eviction sweep)")
 	replicaRank := flag.Bool("replica-rank", false, "rank Pegasus stage-in replicas by live WAN load")
-	dataSweepOn := flag.Bool("data-sweep", false, "run the data campaign: raw-GridFTP baseline vs managed data plane, per seed")
 	shards := flag.Int("shards", 0, "partition the testbed into N regions and evaluate them on a worker each (output is identical at every N)")
 	ingestBatch := flag.Int("ingest-batch", 0, "batch the monitoring path at N events per commit and arm the Merkle usage ledger (0 = per-event; output is identical at every N)")
 	ingestWindow := flag.Duration("ingest-window", 0, "batching/audit window (0 = the monitor interval; needs -ingest-batch)")
-	ingestSweepOn := flag.Bool("ingest-sweep", false, "run the ingestion campaign: synthetic metric stream per batch size plus an audit-verified batched scenario")
 	upgradeAt := flag.Duration("upgrade-at", 0, "start the rolling VDT/Pacman upgrade wave at this sim time (0 = off)")
 	upgradeStagger := flag.Duration("upgrade-stagger", 0, "tier-to-tier stagger for -upgrade-at (0 = the 48h default)")
 	certLifetime := flag.Duration("cert-lifetime", 0, "arm GSI host-credential expiry storms with this per-site lifetime (0 = off)")
@@ -212,38 +189,6 @@ func main() {
 			horizon = time.Duration(*days) * 24 * time.Hour
 		}
 		if err := warmStart(*restorePath, *warmSeeds, horizon, *shards, *parallel, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "grid3sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *dataSweepOn {
-		if err := dataSweep(*seedList, *seed, *days, *parallel, *jsonOut, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "grid3sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ingestSweepOn {
-		if err := ingestSweep(*ingestWindow, *jsonOut, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "grid3sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scaleSweepList != "" {
-		if err := scaleSweep(*scaleSweepList, *seedList, *seed, *days, *jsonOut, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "grid3sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaosList != "" {
-		if err := chaos(*chaosList, *seedList, *seed, *parallel, *jsonOut, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "grid3sim:", err)
 			os.Exit(1)
 		}
@@ -530,11 +475,7 @@ func sweep(seedList string, workers int, benchJSON string, quiet bool, cfg core.
 	if err != nil {
 		return err
 	}
-	runs := make([]campaign.Run, len(seeds))
-	for i, s := range seeds {
-		runs[i] = campaign.Run{Seed: s, Scale: cfg.JobScale, Config: cfg}
-	}
-	rep, err := campaign.Sweep(runs, workers)
+	rep, err := campaign.Sweep(campaign.Seeds(seeds, cfg.JobScale, cfg), workers)
 	if err != nil {
 		return err
 	}
@@ -655,47 +596,6 @@ func warmStart(snapPath, seedList string, horizon time.Duration, shards, workers
 	return nil
 }
 
-// chaos runs the chaos campaign: seeds x intensities, each point measured
-// with and without the recovery loop against a failure-free reference.
-func chaos(intensityList, seedList string, seed int64, workers int, jsonPath string, cfg core.ScenarioConfig) error {
-	var intensities []float64
-	for _, part := range strings.Split(intensityList, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("bad -chaos intensity %q", part)
-		}
-		intensities = append(intensities, v)
-	}
-	seeds := []int64{seed}
-	if seedList != "" {
-		var err error
-		if seeds, err = parseSeeds(seedList); err != nil {
-			return err
-		}
-	}
-	rep, err := campaign.ChaosSweep(campaign.ChaosSweepConfig{
-		Seeds:       seeds,
-		Intensities: intensities,
-		Base:        cfg,
-		Workers:     workers,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Write(os.Stdout)
-	if jsonPath != "" {
-		if err := writeReportJSON(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\nchaos JSON written to %s\n", jsonPath)
-	}
-	return nil
-}
-
 // writeReportJSON writes any sweep report's versioned JSON rendering.
 func writeReportJSON(path string, rep interface{ JSON() ([]byte, error) }) error {
 	data, err := rep.JSON()
@@ -703,103 +603,6 @@ func writeReportJSON(path string, rep interface{ JSON() ([]byte, error) }) error
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// scaleSweep runs the testbed scale campaign: the same scenario at
-// growing site populations, measured serially so per-point allocation
-// deltas are clean.
-func scaleSweep(countList, seedList string, seed int64, days int, jsonPath string, cfg core.ScenarioConfig) error {
-	var counts []int
-	for _, part := range strings.Split(countList, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -scale-sweep site count %q", part)
-		}
-		counts = append(counts, n)
-	}
-	seeds := []int64{seed}
-	if seedList != "" {
-		var err error
-		if seeds, err = parseSeeds(seedList); err != nil {
-			return err
-		}
-	}
-	rep, err := campaign.ScaleSweep(campaign.ScaleSweepConfig{
-		SiteCounts: counts,
-		Seeds:      seeds,
-		Days:       days,
-		JobScale:   cfg.JobScale,
-		Base:       cfg,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Write(os.Stdout)
-	if jsonPath != "" {
-		if err := writeReportJSON(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\nscale JSON written to %s\n", jsonPath)
-	}
-	return nil
-}
-
-// ingestSweep runs the monitoring-ingestion campaign: the synthetic
-// metric stream through the repository per batch size (0 = per-event
-// baseline), plus one small batched scenario whose usage ledger is fully
-// audit-verified.
-func ingestSweep(window time.Duration, jsonPath string, cfg core.ScenarioConfig) error {
-	rep, err := campaign.IngestSweep(campaign.IngestSweepConfig{
-		Window: window,
-		Base:   cfg,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Write(os.Stdout)
-	if jsonPath != "" {
-		if err := writeReportJSON(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\ningest JSON written to %s\n", jsonPath)
-	}
-	return nil
-}
-
-// dataSweep runs the data campaign: every seed measured with the raw
-// GridFTP baseline and the managed data plane (SRM lifecycle, transfer
-// doors, replica ranking).
-func dataSweep(seedList string, seed int64, days, workers int, jsonPath string, cfg core.ScenarioConfig) error {
-	seeds := []int64{seed}
-	if seedList != "" {
-		var err error
-		if seeds, err = parseSeeds(seedList); err != nil {
-			return err
-		}
-	}
-	rep, err := campaign.DataSweep(campaign.DataSweepConfig{
-		Seeds:     seeds,
-		Days:      days,
-		Doors:     cfg.TransferDoors,
-		Watermark: cfg.CleanupWatermark,
-		Base:      cfg,
-		Workers:   workers,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Write(os.Stdout)
-	if jsonPath != "" {
-		if err := writeReportJSON(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\ndata JSON written to %s\n", jsonPath)
-	}
-	return nil
 }
 
 // benchRecord is the -json-out bench schema, shared by single runs and

@@ -37,18 +37,19 @@
 //
 //	WithSeed            -seed        WithHealthProbes     -health
 //	WithTestbedScale    -sites       WithRecovery         -recovery
-//	WithHorizon         -days        WithChaos            -chaos
-//	WithJobScale        -scale       WithSRM              -srm
-//	WithShards          -shards      WithTransferDoors    -doors
-//	WithoutFailures     -no-failures WithStorageCleanup   -cleanup
-//	WithoutAffinity     -no-affinity WithReplicaRanking   -replica-rank
+//	WithHorizon         -days        WithSRM              -srm
+//	WithJobScale        -scale       WithTransferDoors    -doors
+//	WithShards          -shards      WithStorageCleanup   -cleanup
+//	WithoutFailures     -no-failures WithReplicaRanking   -replica-rank
+//	WithoutAffinity     -no-affinity
 //	WithTracer          -trace-out   WithMetricsSink      -metrics-out
 //	WithIngestBatching  -ingest-batch/-ingest-window
 //	WithUpgradeWave     -upgrade-at/-upgrade-stagger
 //	WithCertWave        -cert-lifetime/-cert-renewal
 //	WithCheckpointAt    -checkpoint-at/-checkpoint-out    Restore  -restore
 //
-// (WithRealTime has no grid3sim flag; it paces the grid3d daemon.)
+// WithChaos and WithRealTime have no grid3sim flag: the chaos campaign
+// runs under grid3exp, and WithRealTime paces the grid3d daemon.
 package grid3
 
 import (
@@ -637,11 +638,7 @@ type SweepConfig struct {
 // workers (one discrete-event engine per worker, so every seed's run is
 // bit-for-bit identical to running it alone). Options apply to every run.
 func RunSweep(cfg SweepConfig, opts ...Option) (*SweepReport, error) {
-	base := buildConfig(opts)
-	runs := make([]campaign.Run, len(cfg.Seeds))
-	for i, seed := range cfg.Seeds {
-		runs[i] = campaign.Run{Seed: seed, Scale: cfg.Scale, Config: base}
-	}
+	runs := campaign.Seeds(cfg.Seeds, cfg.Scale, buildConfig(opts))
 	rep, err := campaign.Sweep(runs, cfg.Workers)
 	if err != nil {
 		return nil, err

@@ -33,12 +33,12 @@ type Run struct {
 	Config core.ScenarioConfig
 }
 
-// Seeds builds the common sweep shape: n runs at consecutive seeds starting
-// from first, all at the same scale and configuration.
-func Seeds(first int64, n int, scale float64, cfg core.ScenarioConfig) []Run {
-	runs := make([]Run, n)
-	for i := range runs {
-		runs[i] = Run{Seed: first + int64(i), Scale: scale, Config: cfg}
+// Seeds builds the common sweep shape: one run per seed, all at the same
+// scale and configuration.
+func Seeds(seeds []int64, scale float64, cfg core.ScenarioConfig) []Run {
+	runs := make([]Run, len(seeds))
+	for i, seed := range seeds {
+		runs[i] = Run{Seed: seed, Scale: scale, Config: cfg}
 	}
 	return runs
 }
@@ -122,21 +122,43 @@ type Report struct {
 // Sweep executes every run, fanning across at most workers goroutines
 // (workers <= 0 means GOMAXPROCS). Each worker owns a private Engine, RNG,
 // and grid, so per-seed determinism is untouched; results come back in
-// input order regardless of completion order. The first scenario
-// construction error aborts the sweep.
+// input order regardless of completion order. A failed run fails the
+// sweep with the lowest-index error.
 func Sweep(runs []Run, workers int) (*Report, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("campaign: empty sweep")
 	}
+	start := time.Now()
+	results := make([]Result, len(runs))
+	workers, err := fanOut(len(runs), workers, func(i int) error {
+		var err error
+		if results[i], err = execute(runs[i]); err != nil {
+			return fmt.Errorf("campaign: seed %d: %w", runs[i].Seed, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Runs: results, Workers: workers, Elapsed: time.Since(start)}
+	rep.Agg = aggregate(results)
+	return rep, nil
+}
+
+// fanOut calls run(i) for every i in [0, n) on at most workers goroutines
+// (workers <= 0 means GOMAXPROCS) and returns the worker count it used and
+// the error of the lowest failing index. Idle workers take the next index
+// from a shared queue, so a long run never holds up the short ones queued
+// behind it. run writes its result into the caller's slot i, so results
+// land in input order whatever order the runs finish in.
+func fanOut(n, workers int, run func(i int) error) (int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(runs) {
-		workers = len(runs)
+	if workers > n {
+		workers = n
 	}
-	start := time.Now()
-	results := make([]Result, len(runs))
-	errs := make([]error, len(runs))
+	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -144,23 +166,21 @@ func Sweep(runs []Run, workers int) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = execute(runs[i])
+				errs[i] = run(i)
 			}
 		}()
 	}
-	for i := range runs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("campaign: seed %d: %w", runs[i].Seed, err)
+			return workers, err
 		}
 	}
-	rep := &Report{Runs: results, Workers: workers, Elapsed: time.Since(start)}
-	rep.Agg = aggregate(results)
-	return rep, nil
+	return workers, nil
 }
 
 // execute runs one scenario to completion on the calling goroutine.

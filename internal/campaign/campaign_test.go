@@ -1,7 +1,11 @@
 package campaign
 
 import (
+	"errors"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +28,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep scenario in -short mode")
 	}
-	runs := Seeds(1, 4, 0.01, testCfg())
+	runs := Seeds([]int64{1, 2, 3, 4}, 0.01, testCfg())
 	parallel, err := Sweep(runs, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +65,7 @@ func TestSweepAggregates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep scenario in -short mode")
 	}
-	rep, err := Sweep(Seeds(7, 2, 0.01, testCfg()), 2)
+	rep, err := Sweep(Seeds([]int64{7, 8}, 0.01, testCfg()), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,5 +103,76 @@ func TestStat(t *testing.T) {
 	}
 	if z := newStat(nil); z != (Stat{}) {
 		t.Fatalf("empty stat = %+v", z)
+	}
+}
+
+// TestFanOut pins the helper every campaign runs through: each index runs
+// exactly once, results land by index even when later indices finish
+// first, the lowest failing index wins whatever order failures happen in,
+// and the worker count is clamped.
+func TestFanOut(t *testing.T) {
+	const n = 8
+	var calls [n]atomic.Int32
+	out := make([]int, n)
+	var mu sync.Mutex
+	var finished []int
+	var others sync.WaitGroup
+	others.Add(n - 1)
+	workers, err := fanOut(n, 4, func(i int) error {
+		calls[i].Add(1)
+		if i == 0 {
+			others.Wait() // index 0 finishes after every later index
+		} else {
+			defer others.Done()
+		}
+		out[i] = i * i
+		mu.Lock()
+		finished = append(finished, i)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil || workers != 4 {
+		t.Fatalf("fanOut = (%d, %v), want (4, nil)", workers, err)
+	}
+	if finished[n-1] != 0 {
+		t.Fatalf("completion order %v: index 0 did not finish last", finished)
+	}
+	for i := range out {
+		if c := calls[i].Load(); c != 1 {
+			t.Errorf("index %d ran %d times", i, c)
+		}
+		if out[i] != i*i {
+			t.Errorf("slot %d holds %d, want %d", i, out[i], i*i)
+		}
+	}
+
+	errLow, errHigh := errors.New("index 1"), errors.New("index 3")
+	highFailed := make(chan struct{})
+	_, err = fanOut(4, 4, func(i int) error {
+		switch i {
+		case 1:
+			<-highFailed // index 1 fails after index 3 already has
+			return errLow
+		case 3:
+			close(highFailed)
+			return errHigh
+		}
+		return nil
+	})
+	if !errors.Is(err, errLow) || errors.Is(err, errHigh) {
+		t.Fatalf("fanOut returned %v, want the lowest-index error %v", err, errLow)
+	}
+
+	noop := func(int) error { return nil }
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ n, workers, want int }{
+		{3, 16, 3},
+		{1, 0, 1},
+		{procs + 1, 0, procs},
+		{procs + 1, -1, procs},
+	} {
+		if got, _ := fanOut(tc.n, tc.workers, noop); got != tc.want {
+			t.Errorf("fanOut(%d, %d) used %d workers, want %d", tc.n, tc.workers, got, tc.want)
+		}
 	}
 }

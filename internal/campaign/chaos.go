@@ -3,9 +3,7 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"grid3/internal/core"
@@ -98,10 +96,6 @@ func ChaosSweep(cfg ChaosSweepConfig) (*ChaosReport, error) {
 	if len(cfg.Intensities) == 0 {
 		cfg.Intensities = []float64{1, 2, 4}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Flatten the campaign into independent jobs: one clean run per seed,
 	// then a baseline + recovery pair per (seed, intensity).
@@ -134,33 +128,17 @@ func ChaosSweep(cfg ChaosSweepConfig) (*ChaosReport, error) {
 			jobs = append(jobs, mk(seed, in, true, false))
 		}
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 
 	start := time.Now()
 	outcomes := make([]ChaosOutcome, len(jobs))
-	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				outcomes[i], errs[i] = runChaos(jobs[i].cfg)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("campaign: chaos seed %d: %w", jobs[i].cfg.Seed, err)
+	if _, err := fanOut(len(jobs), cfg.Workers, func(i int) error {
+		var err error
+		if outcomes[i], err = runChaos(jobs[i].cfg); err != nil {
+			return fmt.Errorf("campaign: chaos seed %d: %w", jobs[i].cfg.Seed, err)
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Record the effective scale and horizon (the sweep override, else the

@@ -3,8 +3,6 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
 	"grid3/internal/core"
@@ -92,10 +90,6 @@ func DataSweep(cfg DataSweepConfig) (*DataReport, error) {
 	if cfg.Doors <= 0 {
 		cfg.Doors = 4
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Flatten into independent jobs: a baseline + managed pair per seed.
 	var jobs []core.ScenarioConfig
@@ -106,11 +100,14 @@ func DataSweep(cfg DataSweepConfig) (*DataReport, error) {
 		if cfg.JobScale != 0 {
 			sc.JobScale = cfg.JobScale
 		}
+		// The baseline is the historical plane whatever Base carries.
+		sc.UseSRM = managed
+		sc.TransferDoors = 0
+		sc.EnableReplicaRanking = managed
+		sc.EnableStorageCleanup = managed
+		sc.CleanupWatermark = 0
 		if managed {
-			sc.UseSRM = true
 			sc.TransferDoors = cfg.Doors
-			sc.EnableReplicaRanking = true
-			sc.EnableStorageCleanup = true
 			sc.CleanupWatermark = cfg.Watermark
 		}
 		return sc
@@ -118,33 +115,17 @@ func DataSweep(cfg DataSweepConfig) (*DataReport, error) {
 	for _, seed := range cfg.Seeds {
 		jobs = append(jobs, mk(seed, false), mk(seed, true))
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 
 	start := time.Now()
 	outcomes := make([]DataOutcome, len(jobs))
-	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				outcomes[i], errs[i] = runData(jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("campaign: data seed %d: %w", jobs[i].Seed, err)
+	if _, err := fanOut(len(jobs), cfg.Workers, func(i int) error {
+		var err error
+		if outcomes[i], err = runData(jobs[i]); err != nil {
+			return fmt.Errorf("campaign: data seed %d: %w", jobs[i].Seed, err)
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Record the effective job scale so the report describes what ran.

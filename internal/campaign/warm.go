@@ -3,8 +3,6 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
 	"grid3/internal/checkpoint"
@@ -81,36 +79,17 @@ func WarmStart(cfg WarmStartConfig) (*WarmReport, error) {
 	if len(cfg.Variants) == 0 {
 		return nil, fmt.Errorf("campaign: warm start needs at least one variant")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfg.Variants) {
-		workers = len(cfg.Variants)
-	}
 	start := time.Now()
 	results := make([]WarmResult, len(cfg.Variants))
-	errs := make([]error, len(cfg.Variants))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = executeWarm(cfg.Snapshot, cfg.Variants[i], i)
-			}
-		}()
-	}
-	for i := range cfg.Variants {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("campaign: variant %q: %w", results[i].Name, err)
+	workers, err := fanOut(len(cfg.Variants), cfg.Workers, func(i int) error {
+		var err error
+		if results[i], err = executeWarm(cfg.Snapshot, cfg.Variants[i], i); err != nil {
+			return fmt.Errorf("campaign: variant %q: %w", results[i].Name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &WarmReport{
 		SnapshotID: cfg.Snapshot.ID(),

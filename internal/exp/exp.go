@@ -82,7 +82,7 @@ type Experiment struct {
 	Mode string `json:"mode"`
 	// Out is the report path (relative to the runner's -out-dir), e.g.
 	// "BENCH_chaos.json". The written bytes are the campaign report's
-	// versioned JSON rendering, identical to grid3sim's -json-out.
+	// versioned JSON rendering.
 	Out   string `json:"out"`
 	Axes  Axes   `json:"axes,omitempty"`
 	Knobs Knobs  `json:"knobs,omitempty"`
@@ -92,7 +92,7 @@ type Experiment struct {
 // mode — seeds everywhere but ingest, intensities only for chaos, sites
 // only for scale, batch_sizes only for ingest — and validation rejects a
 // spec that crosses them. Empty axes fall back to the campaign's own
-// defaults (the same ones the grid3sim flags use).
+// defaults.
 type Axes struct {
 	Seeds       []int64   `json:"seeds,omitempty"`
 	Intensities []float64 `json:"intensities,omitempty"`
@@ -103,6 +103,7 @@ type Axes struct {
 // Knobs are the scenario settings held constant across the experiment's
 // points. Zero values keep the same defaults the grid3sim flags have, so
 // a spec line and a CLI invocation with the same words mean the same run.
+// Like axes, a knob its mode never reads is rejected.
 type Knobs struct {
 	// Scale is the workload scale factor (0 = 1.0, the paper's ~290k jobs).
 	Scale float64 `json:"scale,omitempty"`
@@ -113,8 +114,8 @@ type Knobs struct {
 	TestbedSites int `json:"testbed_sites,omitempty"`
 	// Doors bounds concurrent GridFTP flows per endpoint (data mode).
 	Doors int `json:"doors,omitempty"`
-	// Shards partitions the testbed for the sharded engine; in scale mode
-	// every point is then measured serial AND sharded.
+	// Shards partitions the testbed for parallel matchmaking; in scale
+	// mode every point is then measured serial AND sharded.
 	Shards int `json:"shards,omitempty"`
 	// Watermark is the managed data plane's cleanup threshold.
 	Watermark float64 `json:"watermark,omitempty"`
@@ -122,7 +123,7 @@ type Knobs struct {
 	Events int `json:"events,omitempty"`
 	// AuditDays bounds the ingest audit leg (0 = default 2; negative skips).
 	AuditDays int `json:"audit_days,omitempty"`
-	// Window is the ingest batching window (0 = the monitor interval).
+	// Window is the ingest batching window (0 = 5 minutes).
 	Window Duration `json:"window,omitempty"`
 	// Workers caps campaign parallelism (0 = GOMAXPROCS). Point results
 	// never depend on it; only wall time does.
@@ -208,19 +209,42 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// modes is a set of experiment modes.
+type modes map[string]bool
+
+var (
+	// scenarioModes run scenarios at the knobs' scale and horizon;
+	// ingest's audit leg fixes its own scale, horizon and testbed.
+	scenarioModes = modes{ModeChaos: true, ModeScale: true, ModeData: true, ModeSweep: true}
+	// pooledModes fan their runs over workers on one testbed; scale
+	// points size the testbed from the sites axis and run serially.
+	pooledModes = modes{ModeChaos: true, ModeData: true, ModeSweep: true}
+)
+
 func (e *Experiment) validate() error {
-	// Axis legality per mode: an axis on the wrong mode is a silent no-op
-	// waiting to mislead, so it is rejected outright.
-	type axisRule struct {
-		name    string
-		present bool
-		modes   map[string]bool
-	}
-	rules := []axisRule{
-		{"seeds", len(e.Axes.Seeds) > 0, map[string]bool{ModeChaos: true, ModeScale: true, ModeData: true, ModeSweep: true}},
-		{"intensities", len(e.Axes.Intensities) > 0, map[string]bool{ModeChaos: true}},
-		{"sites", len(e.Axes.Sites) > 0, map[string]bool{ModeScale: true}},
-		{"batch_sizes", len(e.Axes.BatchSizes) > 0, map[string]bool{ModeIngest: true}},
+	// Axis and knob legality per mode: either on a mode whose runner never
+	// reads it is a silent no-op waiting to mislead, so it is rejected
+	// outright. Knobs absent here ride along into every mode's scenarios.
+	k := e.Knobs
+	rules := []struct {
+		kind, name string
+		present    bool
+		modes      modes
+	}{
+		{"axis", "seeds", len(e.Axes.Seeds) > 0, scenarioModes},
+		{"axis", "intensities", len(e.Axes.Intensities) > 0, modes{ModeChaos: true}},
+		{"axis", "sites", len(e.Axes.Sites) > 0, modes{ModeScale: true}},
+		{"axis", "batch_sizes", len(e.Axes.BatchSizes) > 0, modes{ModeIngest: true}},
+		{"knob", "scale", k.Scale != 0, scenarioModes},
+		{"knob", "days", k.Days != 0, scenarioModes},
+		{"knob", "testbed_sites", k.TestbedSites != 0, pooledModes},
+		{"knob", "workers", k.Workers != 0, pooledModes},
+		// Chaos runs every point with and without recovery.
+		{"knob", "recovery", k.Recovery, modes{ModeScale: true, ModeData: true, ModeIngest: true, ModeSweep: true}},
+		{"knob", "watermark", k.Watermark != 0, modes{ModeData: true}},
+		{"knob", "events", k.Events != 0, modes{ModeIngest: true}},
+		{"knob", "audit_days", k.AuditDays != 0, modes{ModeIngest: true}},
+		{"knob", "window", k.Window != 0, modes{ModeIngest: true}},
 	}
 	switch e.Mode {
 	case ModeChaos, ModeScale, ModeData, ModeIngest, ModeSweep:
@@ -229,7 +253,7 @@ func (e *Experiment) validate() error {
 	}
 	for _, r := range rules {
 		if r.present && !r.modes[e.Mode] {
-			return fmt.Errorf("axis %s does not apply to mode %q", r.name, e.Mode)
+			return fmt.Errorf("%s %s does not apply to mode %q", r.kind, r.name, e.Mode)
 		}
 	}
 	for _, v := range e.Axes.Intensities {
@@ -247,7 +271,6 @@ func (e *Experiment) validate() error {
 			return fmt.Errorf("batch size %d is negative", n)
 		}
 	}
-	k := e.Knobs
 	if k.Scale < 0 {
 		return fmt.Errorf("scale %g is negative", k.Scale)
 	}

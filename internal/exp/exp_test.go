@@ -103,6 +103,26 @@ func TestDecodeRejects(t *testing.T) {
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "ingest", "out": "a.json", "axes": {"seeds": [1]}}]}`,
 			`axis seeds does not apply to mode "ingest"`},
+		{"recovery on chaos",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "chaos", "out": "a.json", "knobs": {"recovery": true}}]}`,
+			`knob recovery does not apply to mode "chaos"`},
+		{"workers on scale",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "scale", "out": "a.json", "knobs": {"workers": 4}}]}`,
+			`knob workers does not apply to mode "scale"`},
+		{"window on data",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "data", "out": "a.json", "knobs": {"window": "5m"}}]}`,
+			`knob window does not apply to mode "data"`},
+		{"days on ingest",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "ingest", "out": "a.json", "knobs": {"days": 3}}]}`,
+			`knob days does not apply to mode "ingest"`},
+		{"watermark on sweep",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"watermark": 0.2}}]}`,
+			`knob watermark does not apply to mode "sweep"`},
 		{"non-positive intensity",
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "chaos", "out": "a.json", "axes": {"intensities": [2, 0]}}]}`,

@@ -167,11 +167,7 @@ func runExperiment(e *Experiment) (report, error) {
 		if len(seeds) == 0 {
 			seeds = []int64{1}
 		}
-		runs := make([]campaign.Run, len(seeds))
-		for i, s := range seeds {
-			runs[i] = campaign.Run{Seed: s, Scale: base.JobScale, Config: base}
-		}
-		return campaign.Sweep(runs, e.Knobs.Workers)
+		return campaign.Sweep(campaign.Seeds(seeds, base.JobScale, base), e.Knobs.Workers)
 	}
 	return nil, fmt.Errorf("unknown mode %q", e.Mode)
 }

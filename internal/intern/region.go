@@ -6,8 +6,9 @@ import "fmt"
 // regions of near-equal size. It is a pure function of (sites, shards): two
 // processes that intern the same site catalog (FromSorted assigns dense IDs
 // in sorted-name order) and ask for the same shard count derive the same
-// region for every site, with no communication — the property the sharded
-// engine's deterministic merge order rests on.
+// region for every site, with no communication — so parallel matchmaking's
+// per-region chunks, and the chunk-order reduction over them, are the same
+// on every run.
 //
 // Because dense IDs follow sorted-name order, a region is an alphabetical
 // band of the testbed, mirroring how Grid3 itself was operated as regional

@@ -6,19 +6,42 @@ import (
 	"time"
 )
 
+// ShardStats accumulates an EvalPool's execution accounting.
+type ShardStats struct {
+	// Windows is the number of fork-join rounds (Map calls that fanned
+	// out to the workers).
+	Windows uint64
+	// BusyNs is the summed wall-clock time the workers spent running
+	// chunks (the total work).
+	BusyNs int64
+	// CriticalNs is the summed per-round maximum worker time — the
+	// critical path a perfectly parallel execution cannot beat.
+	CriticalNs int64
+}
+
+// Speedup returns the work-parallelism of the run: total chunk work divided
+// by its critical path. It is the wall-clock speedup the parallel run
+// converges to once GOMAXPROCS covers the worker count; on fewer cores the
+// ratio still measures how evenly the rounds balanced.
+func (s ShardStats) Speedup() float64 {
+	if s.CriticalNs <= 0 {
+		return 1
+	}
+	return float64(s.BusyNs) / float64(s.CriticalNs)
+}
+
 // EvalPool is a deterministic fork-join helper for the engine's pure
 // evaluation phases. The single simulation goroutine calls Map to fan a
 // read-only computation out over N chunks — one per region shard — and
 // blocks until every chunk finishes; all mutation stays in the caller, so
 // the reduction it performs afterwards sees results in chunk order and the
-// outcome is independent of which worker ran first. This is how the sharded
-// grid parallelizes work whose *inputs* partition by region but whose
-// *commit* must stay serial (Condor-G matchmaking: the candidate scan is
-// pure per region, the launch that follows mutates shared hub state).
+// outcome is independent of which worker ran first. This is how -shards
+// parallelizes work whose *inputs* partition by region but whose *commit*
+// must stay serial (Condor-G matchmaking: the candidate scan is pure per
+// region, the launch that follows mutates shared hub state).
 //
-// The pool accumulates the same work/critical-path accounting as a
-// ShardGroup, so `parallel_speedup` means one thing everywhere: total chunk
-// work divided by the critical path.
+// `parallel_speedup` is the pool's total chunk work divided by its
+// critical path (ShardStats.Speedup).
 type EvalPool struct {
 	workers []chan func()
 	wg      sync.WaitGroup

@@ -90,3 +90,14 @@ func TestEvalPoolCriticalPath(t *testing.T) {
 		t.Fatalf("busy %dns < critical %dns", st.BusyNs, st.CriticalNs)
 	}
 }
+
+func TestShardStatsSpeedup(t *testing.T) {
+	var s ShardStats
+	if sp := s.Speedup(); sp != 1 {
+		t.Fatalf("zero stats speedup %v, want 1", sp)
+	}
+	s = ShardStats{BusyNs: 4000, CriticalNs: 1000}
+	if sp := s.Speedup(); sp != 4 {
+		t.Fatalf("speedup %v, want 4", sp)
+	}
+}

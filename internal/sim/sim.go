@@ -294,22 +294,6 @@ func (e *Engine) peekEvent() (qitem, bool) {
 	return qitem{}, false
 }
 
-// NextEventAt returns the timestamp of the earliest pending event or
-// periodic timer, or false when the engine is idle. The sharded scheduler
-// uses it to size conservative time windows; cancelled entries surfacing at
-// the heap root are discarded as a side effect, exactly as Step would.
-func (e *Engine) NextEventAt() (time.Duration, bool) {
-	it, eok := e.peekEvent()
-	tm, tok := e.wheel.peek()
-	switch {
-	case eok && (!tok || qless(it, qitem{at: tm.at, seq: tm.seq})):
-		return it.at, true
-	case tok:
-		return tm.at, true
-	}
-	return 0, false
-}
-
 // Step fires the next pending event, if any, advancing the clock to its
 // scheduled time. It reports whether an event was fired.
 func (e *Engine) Step() bool {

@@ -35,8 +35,8 @@ EVENTS_FLOOR=1000000
 # at least this many good requests per second (well under what any modern
 # machine produces; this catches a collapsed ingress path, not slow iron).
 RPS_FLOOR=50
-# Sharded-engine floor: the checked-in BenchmarkShardedDay entry must show
-# at least this much work-parallelism at 4 shards on the 1000-site day.
+# Parallel-matchmaking floor: the checked-in BenchmarkShardedDay entry must
+# show at least this much work-parallelism at 4 shards on the 1000-site day.
 # Work-parallelism is summed scan work over the critical path — a partition
 # balance measure, deterministic for a given seed, so a dip means the
 # region chunking regressed, not that the runner was noisy.
@@ -109,7 +109,7 @@ for name in BenchmarkEngineStep BenchmarkScenarioDay; do
     esac
 done
 
-# Sharded-engine check: the checked-in sharded-day entry must clear the
+# Parallel-matchmaking check: the checked-in sharded-day entry must clear the
 # work-parallelism floor. Read from the baseline file — the number is a
 # deterministic property of the partition, so no rerun is needed.
 if pspeed=$(jqget "$BASE" '[.benchmarks[] | select(.name == "BenchmarkShardedDay")][0].parallel_speedup' "BenchmarkShardedDay parallel_speedup"); then

@@ -2,8 +2,8 @@
 # Regenerate BENCH_sim.json: the engine hot-path and campaign-runner
 # numbers this repo tracks across PRs (ns/op + allocs/op for the event
 # engine vs its container/heap baseline, scenario-day throughput, the
-# parallel sweep's speedup with its bit-identical-output check, and the
-# sharded engine's work-parallelism on a 1000-site day at -shards 4).
+# parallel sweep's speedup with its bit-identical-output check, and
+# parallel matchmaking's work-parallelism on a 1000-site day at -shards 4).
 #
 # Runs from any directory: ./scripts/bench.sh
 # Paper-exhibit benches (figures/tables) are separate:

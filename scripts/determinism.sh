@@ -13,7 +13,7 @@
 #   2. fault-management loop armed (-health -recovery)
 #   3. scaled 300-site testbed
 #   4. managed data plane (-srm -doors -cleanup -replica-rank)
-#   5. sharded engine (-shards 4) matches the serial run
+#   5. parallel matchmaking (-shards 4) matches the serial run
 #   6. checkpoint/restore matches straight-through, corrupt snapshots
 #      are refused
 #   7. ingest batching (-ingest-batch) matches the per-event run
@@ -53,7 +53,7 @@ echo '== determinism: managed data plane'
 "$SIM" -days 10 -scale 0.1 -seed 7 -srm -doors 4 -cleanup -replica-rank > "$WORK/run-h.txt"
 same "$WORK/run-g.txt" "$WORK/run-h.txt"
 
-echo '== determinism: sharded engine matches serial'
+echo '== determinism: parallel matchmaking matches serial'
 "$SIM" -days 20 -scale 0.1 -seed 7 > "$WORK/run-serial.txt"
 "$SIM" -days 20 -scale 0.1 -seed 7 -shards 4 > "$WORK/run-sharded.txt"
 same "$WORK/run-serial.txt" "$WORK/run-sharded.txt"

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Full verification gate: build, vet, formatting, the complete test suite,
-# and the race detector over the concurrency surfaces (the parallel sweep
-# runner, the shared metrics registry, the health monitor, the sharded
-# event engine and eval pool, the serve ingress boundary, the checkpoint
-# store and its concurrent warm-start consumers, the ingest batching
-# pipeline).
+# and the race detector over the concurrency surfaces (the campaigns'
+# shared fan-out, the shared metrics registry, the health monitor,
+# parallel matchmaking's eval pool, the serve ingress boundary, the
+# checkpoint store and its concurrent warm-start consumers, the ingest
+# batching pipeline).
 #
 # CI runs this exact script (.github/workflows/ci.yml), so the local gate
 # and the hosted one cannot drift. Runs from any directory:
