@@ -29,14 +29,8 @@ func (n *Network) HashState(h *checkpoint.Hasher) {
 		h.Int(int64(e.queuedHere))
 	}
 	h.Int(n.nextID)
-	ids := make([]int64, 0, len(n.active))
-	for id := range n.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	h.Int(int64(len(ids)))
-	for _, id := range ids {
-		t := n.active[id]
+	h.Int(int64(len(n.active)))
+	for _, t := range n.active {
 		h.Int(t.ID)
 		h.String(t.Src)
 		h.String(t.Dst)

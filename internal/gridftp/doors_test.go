@@ -127,6 +127,47 @@ func TestQueuedTransfersFailWhenEndpointDies(t *testing.T) {
 	}
 }
 
+// A failure callback that queues a new transfer while an outage is failing
+// the door queue (workflow replica failover restarting from another source)
+// must not lose it: the restart is admitted and completes, and no queued
+// count is left raised on its endpoints.
+func TestOutageKeepsTransferQueuedByFailureCallback(t *testing.T) {
+	eng, n := newNet(t)
+	b := n.AddEndpoint("b", 800)
+	b.Doors = 1
+	n.AddEndpoint("a", 8000)
+	c := n.AddEndpoint("c", 8000)
+	d := n.AddEndpoint("d", 8000)
+	n.Start("a", "b", 100*mb, "x", nil) // holds b's only door
+	restarted := false
+	var restartErr error
+	n.Start("c", "b", 100*mb, "x", func(_ *Transfer, err error) {
+		if err == nil {
+			t.Error("queued c→b transfer completed although c went down")
+			return
+		}
+		if _, err := n.Start("d", "b", 100*mb, "x", func(_ *Transfer, err error) {
+			restarted, restartErr = true, err
+		}); err != nil {
+			t.Errorf("restart from d: %v", err)
+		}
+	})
+	if err := n.SetEndpointUp("c", false); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if !restarted || restartErr != nil {
+		t.Fatalf("restarted d→b transfer: done %v, err %v", restarted, restartErr)
+	}
+	if n.QueueDepth() != 0 || b.QueuedFlows() != 0 || c.QueuedFlows() != 0 || d.QueuedFlows() != 0 {
+		t.Fatalf("queue left behind: depth %d, queued at b %d c %d d %d",
+			n.QueueDepth(), b.QueuedFlows(), c.QueuedFlows(), d.QueuedFlows())
+	}
+	if n.Completed() != 2 || n.Failures() != 1 {
+		t.Fatalf("completed %d failed %d, want 2 and 1", n.Completed(), n.Failures())
+	}
+}
+
 // Regression guard for the data-plane accounting invariant: an interrupted
 // transfer moves no bytes into BytesIn/BytesOut or the per-label totals —
 // volume accrues only at completion, so a crash mid-flight cannot inflate

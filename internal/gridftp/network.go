@@ -12,9 +12,11 @@
 package gridftp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -120,13 +122,19 @@ type Endpoint struct {
 
 	// Progressive-filling scratch, valid only within one rebalance pass
 	// (rebalGen marks which). Keeping it on the endpoint lets a pass run
-	// without allocating per-endpoint maps — the dominant rebalance cost
-	// once hundreds of sites move data concurrently. Between passes the
-	// leftover remCapScratch doubles as the live allocation snapshot that
-	// Load reports.
+	// without per-endpoint maps: the pass walks the endpoints it touched in
+	// first-touch order and reads and updates these fields in place.
+	// Between passes the leftover remCapScratch doubles as the live
+	// allocation snapshot that Load reports.
 	remCapScratch float64
 	countScratch  int
 	rebalGen      uint64
+
+	// rank is the endpoint's position in sorted-name order. The bottleneck
+	// search breaks share ties on it, which picks the endpoint a scan in
+	// name order would, without sorting names each pass. Network.ranksStale
+	// marks every rank out of date after an AddEndpoint.
+	rank int
 }
 
 // Up reports whether the endpoint is in service.
@@ -155,7 +163,6 @@ type Transfer struct {
 	lastUpdate time.Duration
 	finish     sim.Event
 	done       func(*Transfer, error)
-	failed     bool
 	span       obs.SpanID
 
 	// queuedAt stamps when the transfer joined the door queue (zero when it
@@ -165,6 +172,9 @@ type Transfer struct {
 	// srcEP/dstEP are resolved once at Start so the rebalance and
 	// completion paths never hash endpoint names again.
 	srcEP, dstEP *Endpoint
+	// onFinish is the completion callback, built once at Start so that
+	// scheduling a finish event allocates nothing.
+	onFinish func()
 	// Progressive-filling scratch, valid only within one rebalance pass.
 	newRate float64
 	frozen  bool
@@ -180,8 +190,11 @@ func (t *Transfer) Remaining() int64 { return int64(math.Ceil(t.remaining)) }
 type Network struct {
 	eng       *sim.Engine
 	endpoints map[string]*Endpoint
-	active    map[int64]*Transfer
-	nextID    int64
+	// active holds the in-flight transfers in ascending ID order: the
+	// order a pass reschedules finish events in, which fixes the order
+	// of same-instant completions, and the order outage victims fail in.
+	active []*Transfer
+	nextID int64
 
 	// SetupDelay models connection establishment and GSI handshake
 	// before data flows.
@@ -213,12 +226,14 @@ type Network struct {
 	// progressive-filling pass.
 	rebalancePending bool
 
-	// Pooled rebalance scratch: the sorted transfer and endpoint working
-	// sets are rebuilt per pass into these reusable backing arrays, and
-	// rebalGen stamps which pass an endpoint's scratch fields belong to.
-	transferScratch []*Transfer
-	epScratch       []*Endpoint
-	rebalGen        uint64
+	// Pooled rebalance scratch: epScratch is the reusable backing array
+	// for the endpoints a pass touches, and rebalGen stamps which pass an
+	// endpoint's scratch fields belong to. ranksStale is set by
+	// AddEndpoint; the next pass renumbers the name ranks with one sort,
+	// so registering a thousand sites costs one sort, not a thousand.
+	epScratch  []*Endpoint
+	rebalGen   uint64
+	ranksStale bool
 
 	// TotalBytes accumulates completed transfer volume by label.
 	totalByLabel map[string]int64
@@ -243,7 +258,6 @@ func NewNetwork(eng *sim.Engine) *Network {
 	return &Network{
 		eng:          eng,
 		endpoints:    make(map[string]*Endpoint),
-		active:       make(map[int64]*Transfer),
 		SetupDelay:   2 * time.Second,
 		totalByLabel: make(map[string]int64),
 	}
@@ -256,6 +270,7 @@ func (n *Network) AddEndpoint(name string, mbps float64) *Endpoint {
 	}
 	e := &Endpoint{Name: name, CapacityBps: mbps * 1e6 / 8, up: true, Doors: n.DefaultDoors}
 	n.endpoints[name] = e
+	n.ranksStale = true
 	return e
 }
 
@@ -398,6 +413,7 @@ func (n *Network) StartTraced(src, dst string, size int64, label string, parent 
 		srcEP:     se,
 		dstEP:     de,
 	}
+	t.onFinish = func() { n.complete(t) }
 	if in := n.Ins; in != nil {
 		in.Started.Inc()
 		t.span = in.Tracer.BeginTransfer(parent, label, label, src, dst, size)
@@ -441,9 +457,20 @@ func (n *Network) admit(t *Transfer) {
 		}
 		t.Started = n.eng.Now()
 		t.lastUpdate = t.Started
-		n.active[t.ID] = t
+		n.activate(t)
 		n.scheduleRebalance()
 	})
+}
+
+// activate inserts t into the ID-ordered active list. Transfers activate
+// in ID order unless the door queue held one back, so the search for its
+// slot starts at the tail.
+func (n *Network) activate(t *Transfer) {
+	i := len(n.active)
+	for i > 0 && n.active[i-1].ID > t.ID {
+		i--
+	}
+	n.active = slices.Insert(n.active, i, t)
 }
 
 // releaseDoors returns a transfer's doors and wakes the admission scan.
@@ -509,27 +536,32 @@ func (n *Network) SetEndpointUp(name string, up bool) error {
 	e.up = up
 	if !up {
 		// Queued transfers touching the endpoint fail in arrival order —
-		// they never held a door, so none is released.
-		if len(n.pending) > 0 {
-			kept := n.pending[:0]
-			for _, t := range n.pending {
-				if t.Src != name && t.Dst != name {
-					kept = append(kept, t)
-					continue
-				}
-				t.srcEP.queuedHere--
-				t.dstEP.queuedHere--
-				n.fail(t, fmt.Errorf("%w: %s went down while queued", ErrEndpointDown, name))
+		// they never held a door, so none is released. The queue is
+		// filtered before any failure callback runs: a callback may queue
+		// a new transfer (a replica failover restarting from another
+		// source), and that transfer must stay queued.
+		var dropped []*Transfer
+		kept := n.pending[:0]
+		for _, t := range n.pending {
+			if t.Src != name && t.Dst != name {
+				kept = append(kept, t)
+				continue
 			}
-			n.pending = kept
+			t.srcEP.queuedHere--
+			t.dstEP.queuedHere--
+			dropped = append(dropped, t)
 		}
+		n.pending = kept
+		for _, t := range dropped {
+			n.fail(t, fmt.Errorf("%w: %s went down while queued", ErrEndpointDown, name))
+		}
+		// Active transfers touching it are severed in ID order.
 		var victims []*Transfer
 		for _, t := range n.active {
 			if t.Src == name || t.Dst == name {
 				victims = append(victims, t)
 			}
 		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 		n.settle()
 		for _, t := range victims {
 			n.remove(t)
@@ -541,7 +573,6 @@ func (n *Network) SetEndpointUp(name string, up bool) error {
 }
 
 func (n *Network) fail(t *Transfer, err error) {
-	t.failed = true
 	t.Ended = n.eng.Now()
 	n.failures++
 	if in := n.Ins; in != nil {
@@ -555,7 +586,11 @@ func (n *Network) fail(t *Transfer, err error) {
 }
 
 func (n *Network) remove(t *Transfer) {
-	delete(n.active, t.ID)
+	if i, ok := slices.BinarySearchFunc(n.active, t.ID, func(a *Transfer, id int64) int {
+		return cmp.Compare(a.ID, id)
+	}); ok {
+		n.active = slices.Delete(n.active, i, i+1)
+	}
 	t.finish.Cancel()
 	t.finish = sim.Event{}
 	n.releaseDoors(t)
@@ -598,52 +633,40 @@ func (n *Network) rebalance() {
 }
 
 // rebalanceSettled assigns max–min fair rates by progressive filling and
-// reschedules completion events. The working sets live in pooled scratch
-// (per-endpoint fields stamped by generation, reusable sorted slices):
-// steady-state passes allocate nothing, which matters once hundreds of
-// sites move data concurrently.
+// reschedules completion events. A pass walks the ID-ordered active list,
+// keeps per-endpoint state in generation-stamped scratch fields, breaks
+// share ties on the endpoints' name ranks, and hands the engine each
+// transfer's prebuilt completion callback: it walks no map, sorts nothing,
+// and, once the scratch arrays have grown, allocates nothing.
 func (n *Network) rebalanceSettled() {
+	// Bumping the generation also invalidates the endpoint allocation
+	// snapshots: with nothing active, Load must report idle links, not the
+	// last pass's rates.
+	n.rebalGen++
 	if len(n.active) == 0 {
-		// Still invalidate the endpoint allocation snapshots: with nothing
-		// active, Load must report idle links, not the last pass's rates.
-		n.rebalGen++
 		return
 	}
-	n.rebalGen++
+	if n.ranksStale {
+		n.rankEndpoints()
+	}
 	gen := n.rebalGen
 
-	// Gather active transfers in deterministic ID order and initialize
-	// per-endpoint remaining capacity / unfrozen counts.
-	ts := n.transferScratch[:0]
+	// Initialize per-endpoint remaining capacity and unfrozen counts,
+	// collecting each endpoint the first time a transfer touches it.
 	eps := n.epScratch[:0]
 	for _, t := range n.active {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
-	touch := func(ep *Endpoint) {
-		if ep.rebalGen != gen {
-			ep.rebalGen = gen
-			ep.remCapScratch = ep.CapacityBps
-			ep.countScratch = 0
-			eps = append(eps, ep)
-		}
-		ep.countScratch++
-	}
-	for _, t := range ts {
 		t.frozen = false
 		t.newRate = 0
-		touch(t.srcEP)
-		touch(t.dstEP)
+		eps = touch(eps, t.srcEP, gen)
+		eps = touch(eps, t.dstEP, gen)
 	}
-	// The bottleneck search iterates endpoints in sorted-name order so
-	// share ties break exactly as the historical map-collect-and-sort did.
-	sort.Slice(eps, func(i, j int) bool { return eps[i].Name < eps[j].Name })
-	n.transferScratch = ts
 	n.epScratch = eps
 
-	unfrozen := len(ts)
+	unfrozen := len(n.active)
 	for unfrozen > 0 {
-		// Find the bottleneck endpoint: minimum per-transfer share.
+		// Find the bottleneck endpoint: minimum per-transfer share, ties to
+		// the lowest name rank — the endpoint a scan in sorted-name order
+		// with a strict < would pick.
 		var bottleneck *Endpoint
 		best := math.Inf(1)
 		for _, ep := range eps {
@@ -651,7 +674,7 @@ func (n *Network) rebalanceSettled() {
 				continue
 			}
 			share := ep.remCapScratch / float64(ep.countScratch)
-			if share < best {
+			if share < best || (share == best && bottleneck != nil && ep.rank < bottleneck.rank) {
 				best = share
 				bottleneck = ep
 			}
@@ -660,7 +683,7 @@ func (n *Network) rebalanceSettled() {
 			break
 		}
 		// Freeze every unfrozen transfer touching the bottleneck.
-		for _, t := range ts {
+		for _, t := range n.active {
 			if t.frozen || (t.srcEP != bottleneck && t.dstEP != bottleneck) {
 				continue
 			}
@@ -676,9 +699,10 @@ func (n *Network) rebalanceSettled() {
 
 	// Reschedule completion events — but only for transfers whose rate
 	// actually changed: with an unchanged rate, the previously scheduled
-	// absolute finish time is still exact.
+	// absolute finish time is still exact. The walk is in ID order because
+	// the engine orders same-instant events by when they were scheduled.
 	now := n.eng.Now()
-	for _, t := range ts {
+	for _, t := range n.active {
 		rate := t.newRate
 		if t.finish.Pending() && rateClose(rate, t.rate) {
 			continue
@@ -690,11 +714,35 @@ func (n *Network) rebalanceSettled() {
 			continue // starved; rescheduled on the next rebalance
 		}
 		secs := t.remaining / t.rate
-		tt := t
-		t.finish = n.eng.At(now+time.Duration(secs*float64(time.Second))+1, func() {
-			n.complete(tt)
-		})
+		t.finish = n.eng.At(now+time.Duration(secs*float64(time.Second))+1, t.onFinish)
 	}
+}
+
+// touch readies ep's filling scratch the first time pass gen reaches it,
+// appending it to eps, and counts one more unfrozen transfer through it.
+func touch(eps []*Endpoint, ep *Endpoint, gen uint64) []*Endpoint {
+	if ep.rebalGen != gen {
+		ep.rebalGen = gen
+		ep.remCapScratch = ep.CapacityBps
+		ep.countScratch = 0
+		eps = append(eps, ep)
+	}
+	ep.countScratch++
+	return eps
+}
+
+// rankEndpoints numbers every endpoint by its position in sorted-name
+// order.
+func (n *Network) rankEndpoints() {
+	eps := make([]*Endpoint, 0, len(n.endpoints))
+	for _, e := range n.endpoints {
+		eps = append(eps, e)
+	}
+	sort.Slice(eps, func(i, j int) bool { return eps[i].Name < eps[j].Name })
+	for i, e := range eps {
+		e.rank = i
+	}
+	n.ranksStale = false
 }
 
 // rateClose reports whether two rates agree to within rounding noise.
@@ -713,10 +761,7 @@ func (n *Network) complete(t *Transfer) {
 		// Rounding left a sliver; finish it at the current rate.
 		if t.rate > 0 {
 			secs := t.remaining / t.rate
-			tt := t
-			t.finish = n.eng.Schedule(time.Duration(secs*float64(time.Second))+1, func() {
-				n.complete(tt)
-			})
+			t.finish = n.eng.Schedule(time.Duration(secs*float64(time.Second))+1, t.onFinish)
 		}
 		return
 	}
