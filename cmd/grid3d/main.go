@@ -80,8 +80,8 @@ func main() {
 	cleanupOn := flag.Bool("cleanup", false, "arm the SRM lifecycle loop (expiry, pins, watermark eviction)")
 	replicaRank := flag.Bool("replica-rank", false, "rank Pegasus stage-in replicas by live WAN load")
 	shards := flag.Int("shards", 0, "partition the testbed into N regions and evaluate them on a worker each (output is identical at every N)")
-	ingestBatch := flag.Int("ingest-batch", 0, "batch the monitoring path at N events per commit and arm the Merkle usage ledger (/api/v1/audit/*); 0 = per-event")
-	ingestWindow := flag.Duration("ingest-window", 0, "batching/audit window (0 = the monitor interval; needs -ingest-batch)")
+	ingestBatch := flag.Int("ingest-batch", 0, "N > 0 arms the per-VO Merkle usage ledger served at /api/v1/audit/* (not a batch size: every N > 0 is the same)")
+	ingestWindow := flag.Duration("ingest-window", 0, "usage-ledger window (0 = the monitor interval; needs -ingest-batch)")
 	maxPending := flag.Int("max-pending", 0, "ingress mailbox depth before shedding (0 = the serve default, 4096)")
 	configPath := flag.String("config", "", "JSON config file; SIGHUP or POST /api/v1/config/reload re-applies the dynamic fields")
 	jsonOut := flag.String("json-out", "", "write the final status record JSON to this file on shutdown")

@@ -47,12 +47,11 @@
 //	grid3sim -days 20 -scale 0.1 -checkpoint-at 240h -checkpoint-out snap.g3
 //	grid3sim -restore snap.g3
 //
-// Monitoring ingestion: -ingest-batch N routes station metrics, gmetad
-// samples, and ACDC records through bounded batching rings that seal on
-// batch-full or window expiry (-ingest-window, default the monitor
-// interval) and commit through a single writer. Output is bit-identical
-// to the per-event path at every N; windows double as accounting
-// periods, sealing per-VO Merkle usage roots:
+// Usage ledger: -ingest-batch N (any N > 0; the value is not a batch
+// size) arms the per-VO Merkle usage ledger, which seals one root of
+// per-VO usage per window (-ingest-window, default the monitor
+// interval). Monitoring commits per event either way, and the output is
+// bit-identical to a run without the ledger:
 //
 //	grid3sim -days 20 -scale 0.1 -ingest-batch 256
 //
@@ -111,8 +110,8 @@ func main() {
 	cleanupOn := flag.Bool("cleanup", false, "arm the SRM lifecycle loop (scheduled expiry, pins, watermark eviction sweep)")
 	replicaRank := flag.Bool("replica-rank", false, "rank Pegasus stage-in replicas by live WAN load")
 	shards := flag.Int("shards", 0, "partition the testbed into N regions and evaluate them on a worker each (output is identical at every N)")
-	ingestBatch := flag.Int("ingest-batch", 0, "batch the monitoring path at N events per commit and arm the Merkle usage ledger (0 = per-event; output is identical at every N)")
-	ingestWindow := flag.Duration("ingest-window", 0, "batching/audit window (0 = the monitor interval; needs -ingest-batch)")
+	ingestBatch := flag.Int("ingest-batch", 0, "N > 0 arms the per-VO Merkle usage ledger (not a batch size: every N > 0 is the same; output is identical with or without it)")
+	ingestWindow := flag.Duration("ingest-window", 0, "usage-ledger window (0 = the monitor interval; needs -ingest-batch)")
 	upgradeAt := flag.Duration("upgrade-at", 0, "start the rolling VDT/Pacman upgrade wave at this sim time (0 = off)")
 	upgradeStagger := flag.Duration("upgrade-stagger", 0, "tier-to-tier stagger for -upgrade-at (0 = the 48h default)")
 	certLifetime := flag.Duration("cert-lifetime", 0, "arm GSI host-credential expiry storms with this per-site lifetime (0 = off)")

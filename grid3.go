@@ -242,19 +242,17 @@ func WithoutObservability() Option {
 
 // ── Monitoring-ingestion options ────────────────────────────────────────
 //
-// The batched monitoring path and the Merkle-audited usage ledger.
+// The Merkle-audited usage ledger over the monitoring collectors.
 
-// WithIngestBatching routes the monitoring hot path — MonALISA stations
-// and the obs bridge into the central repository, Ganglia history
-// writes, ACDC warehouse pulls — through size/time-windowed batchers
-// (batch events per commit, sealed early when window expires), and arms
-// the per-VO usage ledger: one Merkle root of per-VO usage deltas
-// (completed jobs, CPU seconds, bytes moved) sealed per window,
-// published with inclusion proofs at the daemon's /api/v1/audit/*
-// routes. Batching never changes a run: the batchers schedule no
-// events, and every monitoring read drains staged batches first, so
-// output stays byte-identical to the per-event path. window <= 0
-// defaults to the monitor interval.
+// WithIngestBatching arms the per-VO usage ledger when batch is
+// positive: one Merkle root of per-VO usage deltas (completed jobs, CPU
+// seconds, bytes moved) sealed per window, published with inclusion
+// proofs at the daemon's /api/v1/audit/* routes. batch is not a batch
+// size — monitoring commits per event either way, and every positive
+// value arms the same ledger; the name is kept for existing callers.
+// The ledger schedules no events and draws no randomness, so output
+// stays byte-identical to a run without it. window <= 0 defaults to the
+// monitor interval.
 func WithIngestBatching(batch int, window time.Duration) Option {
 	return func(c *ScenarioConfig) {
 		c.Config.IngestBatch = batch
@@ -780,24 +778,22 @@ func ScaleSweep(cfg ScaleSweepConfig, opts ...Option) (*ScaleReport, error) {
 }
 
 // Ingest-sweep views: the campaign mode that measures the monitoring-
-// ingestion pipeline — a deterministic synthetic metric stream pushed
-// through the repository at several batch sizes against the per-event
-// baseline — and audit-verifies a batched scenario's usage ledger.
+// ingestion path — a deterministic synthetic metric stream pushed
+// through the repository's per-event Ingest — and audit-verifies a
+// small scenario's usage ledger.
 type (
-	// IngestSweepConfig shapes an ingestion campaign (batch sizes ×
-	// synthetic stream, plus the audit-verification scenario leg).
+	// IngestSweepConfig shapes an ingestion campaign (the synthetic
+	// stream plus the audit-verification scenario leg).
 	IngestSweepConfig = campaign.IngestSweepConfig
 	// IngestReport is a completed ingestion campaign with the events/s
 	// evidence the bench floor gates.
 	IngestReport = campaign.IngestReport
-	// IngestPoint is one batch-size measurement.
-	IngestPoint = campaign.IngestPoint
 )
 
 // IngestSweep measures monitoring-ingestion throughput and allocation
-// volume per batch size, then audit-verifies every (window, VO) usage
-// proof of a small batched scenario. Options apply to the audit leg (the
-// sweep overrides its seed, sites, horizon, scale, and ingest toggles).
+// volume, then audit-verifies every (window, VO) usage proof of a small
+// ledger-armed scenario. Options apply to the audit leg (the sweep
+// overrides its seed, sites, horizon, scale, and ledger toggles).
 func IngestSweep(cfg IngestSweepConfig, opts ...Option) (*IngestReport, error) {
 	cfg.Base = buildConfig(opts)
 	return campaign.IngestSweep(cfg)

@@ -48,13 +48,6 @@ type Monitor struct {
 	// (local non-grid jobs on shared facilities).
 	Ignore map[string]bool
 
-	// Stage, when set, receives each pulled record instead of the direct
-	// warehouse append; the ingest batcher commits staged batches back
-	// through Commit. PreRead, when set, runs before every warehouse
-	// read so staged records land first (read-your-writes).
-	Stage   func(JobRecord)
-	PreRead func()
-
 	// cpuByVO tallies completed CPU seconds per VO incrementally at
 	// append time, so the usage ledger's per-window sampling is O(#VOs)
 	// instead of a warehouse rescan per seal.
@@ -84,23 +77,10 @@ func (m *Monitor) Pull() {
 				continue
 			}
 			rec := JobRecord{Site: src.site, Record: r}
-			if m.Stage != nil {
-				m.Stage(rec)
-			} else {
-				m.account(rec)
-				m.records = append(m.records, rec)
-			}
+			m.account(rec)
+			m.records = append(m.records, rec)
 		}
 	}
-}
-
-// Commit appends a staged batch to the warehouse — the ingest batcher's
-// commit function.
-func (m *Monitor) Commit(recs []JobRecord) {
-	for _, r := range recs {
-		m.account(r)
-	}
-	m.records = append(m.records, recs...)
 }
 
 // account folds one record into the incremental per-VO CPU tally.
@@ -110,25 +90,16 @@ func (m *Monitor) account(r JobRecord) {
 	}
 }
 
-// preRead runs the read barrier, if any.
-func (m *Monitor) preRead() {
-	if m.PreRead != nil {
-		m.PreRead()
-	}
-}
-
 // Stop halts polling.
 func (m *Monitor) Stop() { m.ticker.Stop() }
 
 // Records returns the warehouse contents (live slice; do not mutate).
 func (m *Monitor) Records() []JobRecord {
-	m.preRead()
 	return m.records
 }
 
 // Len returns the warehouse row count.
 func (m *Monitor) Len() int {
-	m.preRead()
 	return len(m.records)
 }
 
@@ -136,7 +107,6 @@ func (m *Monitor) Len() int {
 // the whole warehouse — the ledger's per-window accounting source
 // (window deltas of this map). The returned map is a fresh copy.
 func (m *Monitor) CPUSecondsByVO() map[string]uint64 {
-	m.preRead()
 	out := make(map[string]uint64, len(m.cpuByVO))
 	for k, v := range m.cpuByVO {
 		out[k] = v
@@ -175,7 +145,6 @@ func (s ClassStats) Efficiency() float64 {
 
 // Stats computes the Table 1 column for one VO.
 func (m *Monitor) Stats(vo string) ClassStats {
-	m.preRead()
 	st := ClassStats{VO: vo}
 	sites := map[string]bool{}
 	var totalRuntime time.Duration
@@ -256,7 +225,6 @@ func monthLess(a, b string) bool {
 
 // VOs returns every VO present in the warehouse, sorted.
 func (m *Monitor) VOs() []string {
-	m.preRead()
 	seen := map[string]bool{}
 	for _, r := range m.records {
 		seen[r.VO] = true
@@ -273,7 +241,6 @@ func (m *Monitor) VOs() []string {
 // "Distribution of the number of jobs run on Grid3 by month". Keys are
 // chronological.
 func (m *Monitor) JobsByMonth() ([]string, []int) {
-	m.preRead()
 	counts := map[string]int{}
 	for _, r := range m.records {
 		if r.Outcome != batch.Completed {
@@ -312,7 +279,6 @@ func overlap(r JobRecord, from, to time.Duration) time.Duration {
 // (from, to] — the Figure 4 query (CMS cumulative usage by site). Jobs
 // spanning the window boundary contribute only their overlap.
 func (m *Monitor) CPUDaysBySiteForVO(vo string, from, to time.Duration) map[string]float64 {
-	m.preRead()
 	out := map[string]float64{}
 	for _, r := range m.records {
 		if r.VO != vo || r.Outcome != batch.Completed {
@@ -329,7 +295,6 @@ func (m *Monitor) CPUDaysBySiteForVO(vo string, from, to time.Duration) map[stri
 // query (integrated usage by VO during the SC2003 window). Jobs spanning
 // the window boundary contribute only their overlap.
 func (m *Monitor) CPUDaysByVO(from, to time.Duration) map[string]float64 {
-	m.preRead()
 	out := map[string]float64{}
 	for _, r := range m.records {
 		if r.Outcome != batch.Completed {
@@ -346,7 +311,6 @@ func (m *Monitor) CPUDaysByVO(from, to time.Duration) map[string]float64 {
 // each bin of width bin across (from, to] — the Figure 3 query
 // (differential usage). The result maps VO → one value per bin.
 func (m *Monitor) AvgCPUsByVO(from, to, bin time.Duration) map[string][]float64 {
-	m.preRead()
 	if bin <= 0 || to <= from {
 		return nil
 	}

@@ -13,43 +13,22 @@ import (
 )
 
 // IngestSweepConfig parameterizes a monitoring-ingestion campaign: a
-// deterministic synthetic metric stream pushed through the repository at
-// several batch sizes (0 = the per-event baseline), measuring throughput
-// and allocation volume, plus one small batched scenario whose usage
-// ledger is fully audit-verified.
+// deterministic synthetic metric stream pushed through the central
+// repository's per-event Ingest, measuring throughput and allocation
+// volume, plus one small scenario whose usage ledger is fully
+// audit-verified.
 type IngestSweepConfig struct {
-	// BatchSizes lists the batcher sizes to measure; 0 means the direct
-	// per-event Ingest path. Defaults to {0, 64, 512, 4096}.
-	BatchSizes []int
-	// Events is the synthetic stream length per point (default 2,000,000).
+	// Events is the synthetic stream length (default 2,000,000).
 	Events int
 	// Farms × Params shapes the synthetic series population (defaults
 	// 32 × 8: 256 series, the order of a big testbed's station fan-in).
 	Farms, Params int
-	// Window is the batching window (default 5 minutes of sim time; the
-	// synthetic clock advances one second per series round).
-	Window time.Duration
 	// AuditDays is the horizon of the audit-verification scenario
 	// (default 2); 0 < AuditDays keeps it cheap, negative skips it.
 	AuditDays int
 	// Base rides along into the audit scenario; seed, sites, horizon,
-	// scale, and the ingest toggles are overridden.
+	// scale, and the ledger toggles are overridden.
 	Base core.ScenarioConfig
-}
-
-// IngestPoint is one batch-size measurement over the synthetic stream.
-type IngestPoint struct {
-	Batch      int     `json:"batch"` // 0 = per-event baseline
-	Events     uint64  `json:"events"`
-	WallSecs   float64 `json:"wall_seconds"`
-	EventsPerS float64 `json:"events_per_second"`
-	Batches    uint64  `json:"batches,omitempty"`
-	MaxPending int     `json:"max_pending,omitempty"`
-	Mallocs    uint64  `json:"mallocs"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	// BytesPerEvent is AllocBytes/Events — the bounded-memory evidence:
-	// batching must not trade throughput for per-event allocation growth.
-	BytesPerEvent float64 `json:"bytes_per_event"`
 }
 
 // IngestReport is a completed ingestion campaign.
@@ -57,11 +36,13 @@ type IngestReport struct {
 	Events int
 	Farms  int
 	Params int
-	Window time.Duration
-	Points []IngestPoint
-	// BestEventsPerS is the fastest batched point's throughput — the
-	// headline the bench floor gates.
-	BestEventsPerS float64
+	// EventsPerS, Mallocs and AllocBytes measure the synthetic stream;
+	// BytesPerEvent is AllocBytes/Events, the per-event allocation
+	// volume of the repository's ingest path.
+	EventsPerS    float64
+	Mallocs       uint64
+	AllocBytes    uint64
+	BytesPerEvent float64
 	// AuditWindows / AuditVerified summarize the scenario leg: every
 	// (window, VO) inclusion proof was generated, wire round-tripped,
 	// and verified against its published root.
@@ -76,14 +57,10 @@ type streamClock struct{ t time.Duration }
 func (c *streamClock) Now() time.Duration   { return c.t }
 func (c *streamClock) WallClock() time.Time { return time.Unix(0, 0).Add(c.t) }
 
-// IngestSweep measures the monitoring-ingestion pipeline. Points run
-// serially (ReadMemStats deltas attribute per point, as in ScaleSweep),
-// and the stream is fully deterministic — same config, same numbers
-// except wall time.
+// IngestSweep measures the monitoring-ingestion path. The stream is
+// fully deterministic — same config, same numbers except wall time and
+// allocator counters.
 func IngestSweep(cfg IngestSweepConfig) (*IngestReport, error) {
-	if len(cfg.BatchSizes) == 0 {
-		cfg.BatchSizes = []int{0, 64, 512, 4096}
-	}
 	if cfg.Events <= 0 {
 		cfg.Events = 2_000_000
 	}
@@ -93,23 +70,12 @@ func IngestSweep(cfg IngestSweepConfig) (*IngestReport, error) {
 	if cfg.Params <= 0 {
 		cfg.Params = 8
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 5 * time.Minute
-	}
 	if cfg.AuditDays == 0 {
 		cfg.AuditDays = 2
 	}
 	start := time.Now()
-	rep := &IngestReport{
-		Events: cfg.Events, Farms: cfg.Farms, Params: cfg.Params, Window: cfg.Window,
-	}
-	for _, batch := range cfg.BatchSizes {
-		pt := ingestPoint(cfg, batch)
-		rep.Points = append(rep.Points, pt)
-		if batch > 0 && pt.EventsPerS > rep.BestEventsPerS {
-			rep.BestEventsPerS = pt.EventsPerS
-		}
-	}
+	rep := &IngestReport{Events: cfg.Events, Farms: cfg.Farms, Params: cfg.Params}
+	ingestStream(cfg, rep)
 	if cfg.AuditDays > 0 {
 		windows, verified, err := ingestAudit(cfg)
 		if err != nil {
@@ -121,23 +87,11 @@ func IngestSweep(cfg IngestSweepConfig) (*IngestReport, error) {
 	return rep, nil
 }
 
-// ingestPoint pushes the synthetic stream through one pipeline
-// configuration and measures it.
-func ingestPoint(cfg IngestSweepConfig, batch int) IngestPoint {
+// ingestStream pushes the synthetic stream through a fresh repository
+// and records throughput and allocation volume in rep.
+func ingestStream(cfg IngestSweepConfig, rep *IngestReport) {
 	clk := &streamClock{}
 	repo := monalisa.NewRepository(clk)
-	sink := repo.Ingest
-	var b *ingest.Batcher[monalisa.Metric]
-	if batch > 0 {
-		b = ingest.New(clk.Now, repo.IngestBatch, ingest.Options{
-			BatchSize: batch,
-			Window:    cfg.Window,
-			Pending:   4,
-			Policy:    ingest.Block,
-		})
-		repo.PreRead = b.Drain
-		sink = func(m monalisa.Metric) { b.Add(m) }
-	}
 
 	farms := make([]string, cfg.Farms)
 	for i := range farms {
@@ -157,41 +111,25 @@ func ingestPoint(cfg IngestSweepConfig, batch int) IngestPoint {
 		if i%perRound == 0 {
 			clk.t += time.Second // one sample per series per sim second
 		}
-		sink(monalisa.Metric{
+		repo.Ingest(monalisa.Metric{
 			Farm:  farms[i%cfg.Farms],
 			Param: params[(i/cfg.Farms)%cfg.Params],
 			Time:  clk.t,
 			Value: float64(i % 1024),
 		})
 	}
-	if b != nil {
-		b.Drain()
-	}
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&after)
 
-	pt := IngestPoint{
-		Batch:      batch,
-		Events:     uint64(cfg.Events),
-		WallSecs:   wall.Seconds(),
-		Mallocs:    after.Mallocs - before.Mallocs,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-	}
+	rep.Mallocs = after.Mallocs - before.Mallocs
+	rep.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	if wall > 0 {
-		pt.EventsPerS = float64(cfg.Events) / wall.Seconds()
+		rep.EventsPerS = float64(cfg.Events) / wall.Seconds()
 	}
-	if cfg.Events > 0 {
-		pt.BytesPerEvent = float64(pt.AllocBytes) / float64(cfg.Events)
-	}
-	if b != nil {
-		st := b.Stats()
-		pt.Batches = st.Batches
-		pt.MaxPending = st.MaxPending
-	}
-	return pt
+	rep.BytesPerEvent = float64(rep.AllocBytes) / float64(cfg.Events)
 }
 
-// ingestAudit runs one small batched scenario and verifies every
+// ingestAudit runs one small ledger-armed scenario and verifies every
 // (window, VO) claim in its usage ledger end to end: proof generation,
 // wire round trip, Merkle verification against the sealed root.
 func ingestAudit(cfg IngestSweepConfig) (windows int, verified bool, err error) {
@@ -232,21 +170,12 @@ func ingestAudit(cfg IngestSweepConfig) (windows int, verified bool, err error) 
 	return led.Len(), true, nil
 }
 
-// Write renders the sweep as a table.
+// Write renders the sweep as text.
 func (rep *IngestReport) Write(w io.Writer) {
-	fmt.Fprintf(w, "Monitoring-ingestion sweep: %d synthetic events over %d series, window %v, total wall %v\n",
-		rep.Events, rep.Farms*rep.Params, rep.Window, rep.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(w, "  %6s %12s %10s %14s %12s %12s %10s %8s\n",
-		"batch", "events", "wall(s)", "events/s", "batches", "mallocs", "bytes/ev", "maxpend")
-	for _, pt := range rep.Points {
-		label := "direct"
-		if pt.Batch > 0 {
-			label = fmt.Sprintf("%d", pt.Batch)
-		}
-		fmt.Fprintf(w, "  %6s %12d %10.3f %14.0f %12d %12d %10.1f %8d\n",
-			label, pt.Events, pt.WallSecs, pt.EventsPerS, pt.Batches, pt.Mallocs, pt.BytesPerEvent, pt.MaxPending)
-	}
-	fmt.Fprintf(w, "  best batched throughput: %.0f events/s\n", rep.BestEventsPerS)
+	fmt.Fprintf(w, "Monitoring-ingestion sweep: %d synthetic events over %d series, total wall %v\n",
+		rep.Events, rep.Farms*rep.Params, rep.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "  per-event ingest: %.0f events/s, %d mallocs, %.1f bytes/event\n",
+		rep.EventsPerS, rep.Mallocs, rep.BytesPerEvent)
 	if rep.AuditWindows > 0 {
 		status := "FAILED"
 		if rep.AuditVerified {

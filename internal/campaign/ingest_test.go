@@ -9,11 +9,10 @@ import (
 	"grid3/internal/core"
 )
 
-func TestIngestSweepRunsPoints(t *testing.T) {
+func TestIngestSweepMeasuresStream(t *testing.T) {
 	rep, err := IngestSweep(IngestSweepConfig{
-		BatchSizes: []int{0, 64},
-		Events:     100_000,
-		AuditDays:  1,
+		Events:    100_000,
+		AuditDays: 1,
 		Base: core.ScenarioConfig{
 			DisableFailures:     true,
 			DisableTransferDemo: true,
@@ -22,27 +21,13 @@ func TestIngestSweepRunsPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(rep.Points))
+	if rep.Events != 100_000 || rep.EventsPerS <= 0 || rep.AllocBytes == 0 {
+		t.Errorf("stream measurement incomplete: %+v", rep)
 	}
-	direct, batched := rep.Points[0], rep.Points[1]
-	if direct.Batch != 0 || batched.Batch != 64 {
-		t.Fatalf("point order wrong: %+v", rep.Points)
-	}
-	for _, pt := range rep.Points {
-		if pt.Events != 100_000 || pt.WallSecs <= 0 || pt.EventsPerS <= 0 {
-			t.Errorf("batch=%d: measurement incomplete: %+v", pt.Batch, pt)
-		}
-	}
-	if direct.Batches != 0 {
-		t.Errorf("direct point recorded batches: %+v", direct)
-	}
-	if batched.Batches == 0 {
-		t.Errorf("batched point recorded no batches: %+v", batched)
-	}
-	if rep.BestEventsPerS != batched.EventsPerS {
-		t.Errorf("best throughput %f, want the batched point's %f",
-			rep.BestEventsPerS, batched.EventsPerS)
+	// The repository allocates per series, not per event: 256 series
+	// over 100k events must stay far below one malloc per event.
+	if rep.Mallocs >= uint64(rep.Events)/10 {
+		t.Errorf("%d mallocs for %d events: the ingest path allocates per event", rep.Mallocs, rep.Events)
 	}
 	if rep.AuditWindows == 0 || !rep.AuditVerified {
 		t.Fatalf("audit leg failed: windows=%d verified=%v", rep.AuditWindows, rep.AuditVerified)
@@ -57,9 +42,8 @@ func TestIngestSweepRunsPoints(t *testing.T) {
 
 func TestIngestSweepSkipsAudit(t *testing.T) {
 	rep, err := IngestSweep(IngestSweepConfig{
-		BatchSizes: []int{32},
-		Events:     10_000,
-		AuditDays:  -1,
+		Events:    10_000,
+		AuditDays: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,35 +55,23 @@ func TestIngestSweepSkipsAudit(t *testing.T) {
 
 func TestIngestReportJSONRoundTrip(t *testing.T) {
 	rep := &IngestReport{
-		Events: 1000, Farms: 4, Params: 2, Window: 5 * time.Minute,
-		Elapsed: time.Second, BestEventsPerS: 1.5e6,
+		Events: 1000, Farms: 4, Params: 2,
+		EventsPerS: 1.5e6, Mallocs: 50, AllocBytes: 6000, BytesPerEvent: 6,
+		Elapsed:      time.Second,
 		AuditWindows: 9, AuditVerified: true,
-		Points: []IngestPoint{
-			{Batch: 0, Events: 1000, WallSecs: 0.1, EventsPerS: 1e4, Mallocs: 50},
-			{Batch: 64, Events: 1000, WallSecs: 0.05, EventsPerS: 2e4, Batches: 16, MaxPending: 2},
-		},
 	}
 	data, err := rep.JSON()
 	m := decode(t, data, err)
-	wantKeys(t, m, IngestSchema, "grid3sim-ingest",
-		"gomaxprocs", "events", "series", "window_seconds", "wall_seconds",
-		"best_events_per_second", "audit_windows", "audit_verified", "points")
-	if got := m["best_events_per_second"]; got != 1.5e6 {
-		t.Errorf("best_events_per_second = %v", got)
+	keys := []string{"gomaxprocs", "events", "series", "wall_seconds", "events_per_second",
+		"mallocs", "alloc_bytes", "bytes_per_event", "audit_windows", "audit_verified"}
+	wantKeys(t, m, IngestSchema, "grid3sim-ingest", keys...)
+	if len(m) != len(keys)+2 {
+		t.Errorf("report has %d keys, want schema, kind and %v", len(m), keys)
 	}
-	pts := m["points"].([]any)
-	directPt := pts[0].(map[string]any)
-	for _, k := range []string{"batch", "events", "wall_seconds", "events_per_second",
-		"mallocs", "alloc_bytes", "bytes_per_event"} {
-		if _, ok := directPt[k]; !ok {
-			t.Errorf("point key %q missing", k)
-		}
+	if got := m["events_per_second"]; got != 1.5e6 {
+		t.Errorf("events_per_second = %v", got)
 	}
-	if _, ok := directPt["batches"]; ok {
-		t.Error("direct point must omit the batches key")
-	}
-	batchedPt := pts[1].(map[string]any)
-	if got := batchedPt["batches"]; got != 16.0 {
-		t.Errorf("batched point batches = %v, want 16", got)
+	if got := m["series"]; got != 8.0 {
+		t.Errorf("series = %v, want 8", got)
 	}
 }

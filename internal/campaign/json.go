@@ -22,7 +22,7 @@ const (
 	ScaleSchema  = "grid3.scale-sweep/1"
 	DataSchema   = "grid3.data-sweep/1"
 	WarmSchema   = "grid3.warm-start/1"
-	IngestSchema = "grid3.ingest-sweep/1"
+	IngestSchema = "grid3.ingest-sweep/2"
 )
 
 func marshalReport(v any) ([]byte, error) {
@@ -261,36 +261,37 @@ func (rep *ScaleReport) JSON() ([]byte, error) {
 // --- IngestReport ----------------------------------------------------------
 
 type ingestRecordJSON struct {
-	Schema     string  `json:"schema"`
-	Kind       string  `json:"kind"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Events     int     `json:"events"`
-	Series     int     `json:"series"`
-	WindowSecs float64 `json:"window_seconds"`
-	WallSecs   float64 `json:"wall_seconds"`
-	// BestEventsPerS is the headline key the bench floor greps; frozen.
-	BestEventsPerS float64       `json:"best_events_per_second"`
-	AuditWindows   int           `json:"audit_windows"`
-	AuditVerified  bool          `json:"audit_verified"`
-	Points         []IngestPoint `json:"points"`
+	Schema        string  `json:"schema"`
+	Kind          string  `json:"kind"`
+	GoMaxProcs    int     `json:"gomaxprocs"`
+	Events        int     `json:"events"`
+	Series        int     `json:"series"`
+	WallSecs      float64 `json:"wall_seconds"`
+	EventsPerS    float64 `json:"events_per_second"`
+	Mallocs       uint64  `json:"mallocs"`
+	AllocBytes    uint64  `json:"alloc_bytes"`
+	BytesPerEvent float64 `json:"bytes_per_event"`
+	AuditWindows  int     `json:"audit_windows"`
+	AuditVerified bool    `json:"audit_verified"`
 }
 
-// JSON renders the sweep under the grid3.ingest-sweep/1 schema (kind
-// "grid3sim-ingest"; best_events_per_second is frozen — the bench-check
-// tooling greps it).
+// JSON renders the sweep under the grid3.ingest-sweep/2 schema (kind
+// "grid3sim-ingest"; the bench-check tooling reads events_per_second
+// and audit_verified).
 func (rep *IngestReport) JSON() ([]byte, error) {
 	return marshalReport(ingestRecordJSON{
-		Schema:         IngestSchema,
-		Kind:           "grid3sim-ingest",
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		Events:         rep.Events,
-		Series:         rep.Farms * rep.Params,
-		WindowSecs:     rep.Window.Seconds(),
-		WallSecs:       rep.Elapsed.Seconds(),
-		BestEventsPerS: rep.BestEventsPerS,
-		AuditWindows:   rep.AuditWindows,
-		AuditVerified:  rep.AuditVerified,
-		Points:         rep.Points,
+		Schema:        IngestSchema,
+		Kind:          "grid3sim-ingest",
+		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		Events:        rep.Events,
+		Series:        rep.Farms * rep.Params,
+		WallSecs:      rep.Elapsed.Seconds(),
+		EventsPerS:    rep.EventsPerS,
+		Mallocs:       rep.Mallocs,
+		AllocBytes:    rep.AllocBytes,
+		BytesPerEvent: rep.BytesPerEvent,
+		AuditWindows:  rep.AuditWindows,
+		AuditVerified: rep.AuditVerified,
 	})
 }
 

@@ -103,19 +103,17 @@ type Config struct {
 	// stays on the hub goroutine. 0 or 1 keeps the serial path with no
 	// worker goroutines at all.
 	Shards int
-	// IngestBatch, when positive, routes the monitoring path — MonALISA
-	// stations and the obs bridge into the central repository, Ganglia
-	// gmetad history writes, ACDC warehouse pulls — through windowed
-	// batchers with that many events per batch, and arms the per-VO
-	// Merkle usage ledger sealed once per IngestWindow. The batchers are
-	// passive (no engine events, no RNG) and every read drains staged
-	// batches first, so batched runs stay byte-identical to per-event
-	// runs. 0 keeps the historical per-event delivery and no ledger.
+	// IngestBatch, when positive, arms the per-VO Merkle usage ledger,
+	// sealed once per IngestWindow on a clock driven by station metric
+	// arrivals (see ingest.go). The value is not a batch size: every
+	// monitoring path commits per event either way, and any positive
+	// value arms the same ledger. The ledger schedules no engine events
+	// and draws no randomness, so runs with it stay byte-identical to
+	// runs without. 0 leaves it off.
 	IngestBatch int
-	// IngestWindow is the batching/audit window: a batch also seals when
-	// an event arrives in a later window, and the ledger seals one Merkle
-	// root of per-VO usage deltas per window. Defaults to MonitorInterval
-	// when IngestBatch is set.
+	// IngestWindow is the ledger's window: it seals one Merkle root of
+	// per-VO usage deltas per window. Defaults to MonitorInterval when
+	// IngestBatch is set.
 	IngestWindow time.Duration
 }
 
@@ -248,16 +246,16 @@ type Grid struct {
 	Health *health.Monitor
 
 	// Ledger is the Merkle-audited per-VO usage ledger; nil unless
-	// Config.IngestBatch is set. See ingest.go for the batching pipeline
-	// that drives its window seals.
+	// Config.IngestBatch is set. See ingest.go for the window clock that
+	// drives its seals.
 	Ledger *ingest.Ledger
 
-	// Ingestion batchers (Config.IngestBatch > 0), all nil when off.
-	ingestMetrics *ingest.Batcher[monalisa.Metric]
-	ingestGanglia *ingest.Batcher[gmetadSample]
-	ingestACDC    *ingest.Batcher[acdc.JobRecord]
-	usagePrev     map[string]usageTotals
-	lastSealed    int64
+	// Usage-ledger state (Config.IngestBatch > 0): the previous seal's
+	// cumulative totals, the last sealed window, and the window the
+	// previous station metric arrived in.
+	usagePrev    map[string]usageTotals
+	lastSealed   int64
+	metricWindow int64
 
 	// Shared per-subsystem instrument bundles, nil when observability is
 	// off (every instrumented call site tolerates nil).
@@ -373,8 +371,8 @@ func New(cfg Config) (*Grid, error) {
 	g.Cache = vdt.Grid3Cache()
 	g.DIAL = dial.NewCatalog()
 
-	// --- Ingestion batching + usage ledger (before sites: stations wire
-	// their forward sinks in addSite).
+	// --- Usage ledger (before sites: stations wire their forward sinks
+	// in addSite).
 	if cfg.IngestBatch > 0 {
 		g.setupIngest()
 	}
@@ -833,7 +831,6 @@ func (g *Grid) addSite(spec SiteSpec) error {
 	gmond.Register("disk_used_frac", func() float64 { return st.Disk.FillFraction() })
 	gmetad := ganglia.NewGmetad(g.Eng, spec.Name, g.Cfg.MonitorInterval)
 	gmetad.Watch(gmond)
-	g.stageGmetad(gmetad)
 	g.Ganglia.Add(gmetad)
 	node.Gmetad = gmetad
 

@@ -1,44 +1,26 @@
 package core
 
-// Ingestion batching (Config.IngestBatch > 0): the monitoring hot path
-// — per-site MonALISA stations and the iGOC obs bridge into the central
-// repository, Ganglia gmetad history writes, and ACDC warehouse pulls —
-// feeds through shared internal/ingest batchers instead of per-event
-// delivery. The batchers are passive (no engine events, no goroutines,
-// no RNG) and every consumer read drains first, so a batched run is
-// byte-identical to a per-event run; CI diffs the two.
-//
-// On top of the metric batcher's window rollovers the grid seals the
-// per-VO usage ledger: each closed window gets one UsageRecord per VO
+// The per-VO usage ledger (Config.IngestBatch > 0). Station metrics, the
+// iGOC obs bridge included, commit to the central repository one by
+// one; on their way in they pass a window clock. When a metric arrives
+// in a later IngestWindow than the previous metric did, the previous
+// metric's window is over and the grid seals it: one UsageRecord per VO
 // (completed jobs from VOStats, CPU seconds from ACDC, bytes moved from
 // the GridFTP per-VO accounting — all as window deltas of cumulative
-// totals sampled at the deterministic seal instant) hashed into a
-// Merkle root. The serve layer publishes roots and inclusion proofs at
+// totals sampled at that deterministic sim instant) hashed into a Merkle
+// root. The clock moves only on metric arrivals, which are engine
+// events, so reading the repository or the ledger cannot move a seal.
+// The serve layer publishes roots and inclusion proofs at
 // /api/v1/audit/* so a VO's usage claim is checkable without rescanning
 // raw events.
 
 import (
 	"time"
 
-	"grid3/internal/acdc"
-	"grid3/internal/ganglia"
 	"grid3/internal/ingest"
 	"grid3/internal/monalisa"
 	"grid3/internal/vo"
 )
-
-// ingestPending bounds each batcher's ring of sealed-but-uncommitted
-// batches; overflow commits the oldest inline (Block policy).
-const ingestPending = 4
-
-// gmetadSample is one staged Ganglia history write, bound to its
-// aggregator so a single shared batcher serves every site.
-type gmetadSample struct {
-	gm     *ganglia.Gmetad
-	metric string
-	t      time.Duration
-	v      float64
-}
 
 // usageTotals is one VO's cumulative accounting sample; ledger records
 // are deltas between consecutive samples.
@@ -48,71 +30,41 @@ type usageTotals struct {
 	bytes uint64
 }
 
-// setupIngest arms the batching pipeline and the usage ledger. Called
-// from New before sites are added (stations wire their forward sinks at
-// addSite time).
+// setupIngest arms the usage ledger. Called from New before sites are
+// added (stations wire their forward sinks at addSite time).
 func (g *Grid) setupIngest() {
-	opts := ingest.Options{
-		BatchSize: g.Cfg.IngestBatch,
-		Window:    g.Cfg.IngestWindow,
-		Pending:   ingestPending,
-		Policy:    ingest.Block,
-	}
 	g.Ledger = ingest.NewLedger()
 	g.usagePrev = make(map[string]usageTotals)
 	g.lastSealed = -1
-
-	g.ingestMetrics = ingest.New(g.Eng.Now, g.Repo.IngestBatch, opts)
-	g.ingestMetrics.OnWindow = g.sealUsageWindow
-	g.Repo.PreRead = g.ingestMetrics.Drain
-
-	g.ingestGanglia = ingest.New(g.Eng.Now, commitGmetadBatch, opts)
-
-	g.ingestACDC = ingest.New(g.Eng.Now, g.ACDC.Commit, opts)
-	g.ACDC.Stage = func(r acdc.JobRecord) { g.ingestACDC.Add(r) }
-	g.ACDC.PreRead = g.ingestACDC.Drain
+	g.metricWindow = -1
 }
 
-// metricSink returns the station forward target: the shared metric
-// batcher when batching is on, the historical per-event Ingest
-// otherwise.
+// metricSink returns the station forward target: the central
+// repository's Ingest, behind the ledger's window clock when the ledger
+// is armed.
 func (g *Grid) metricSink() func(monalisa.Metric) {
-	if g.ingestMetrics == nil {
+	if g.Ledger == nil {
 		return g.Repo.Ingest
 	}
-	return func(m monalisa.Metric) { g.ingestMetrics.Add(m) }
+	return g.clockMetric
 }
 
-// stageGmetad hooks one site's aggregator into the shared Ganglia
-// batcher.
-func (g *Grid) stageGmetad(gm *ganglia.Gmetad) {
-	if g.ingestGanglia == nil {
-		return
+// clockMetric is the ledger's window clock. A metric arriving in a
+// later window than the previous metric seals the previous metric's
+// window, then commits. A window no metric falls in is never sealed;
+// its usage is carried by the next seal. Trailing silence folds into
+// the final seal at FinishIngest.
+func (g *Grid) clockMetric(m monalisa.Metric) {
+	w := g.Cfg.IngestWindow
+	if idx := int64(g.Eng.Now() / w); idx != g.metricWindow {
+		closed := g.metricWindow
+		g.metricWindow = idx
+		if closed > g.lastSealed {
+			g.lastSealed = closed
+			g.sealUsage(uint64(closed), time.Duration(closed)*w, time.Duration(closed+1)*w)
+		}
 	}
-	gm.Stage = func(metric string, t time.Duration, v float64) {
-		g.ingestGanglia.Add(gmetadSample{gm: gm, metric: metric, t: t, v: v})
-	}
-	gm.PreRead = g.ingestGanglia.Drain
-}
-
-// commitGmetadBatch routes staged history writes back to their
-// aggregators, in arrival order.
-func commitGmetadBatch(batch []gmetadSample) {
-	for _, s := range batch {
-		s.gm.CommitHistory(s.metric, s.t, s.v)
-	}
-}
-
-// sealUsageWindow is the metric batcher's OnWindow hook: the first
-// metric arriving past a window boundary seals the closed window at a
-// deterministic sim instant. Windows no metric ever follows (trailing
-// silence) fold into the final seal at FinishIngest.
-func (g *Grid) sealUsageWindow(closed int64, start, end time.Duration) {
-	if closed <= g.lastSealed {
-		return
-	}
-	g.lastSealed = closed
-	g.sealUsage(uint64(closed), start, end)
+	g.Repo.Ingest(m)
 }
 
 // sealUsage samples cumulative accounting, converts to window deltas,
@@ -120,7 +72,7 @@ func (g *Grid) sealUsageWindow(closed int64, start, end time.Duration) {
 // (zero deltas included) so the leaf set — and therefore proof shapes —
 // stays stable.
 func (g *Grid) sealUsage(idx uint64, start, end time.Duration) {
-	cpu := g.ACDC.CPUSecondsByVO() // drains the ACDC batcher via PreRead
+	cpu := g.ACDC.CPUSecondsByVO()
 	moved := g.Network.BytesByLabel()
 	recs := make([]ingest.UsageRecord, 0, len(vo.Grid3VOs))
 	for _, voName := range vo.Grid3VOs {
@@ -148,31 +100,16 @@ func (g *Grid) sealUsage(idx uint64, start, end time.Duration) {
 	g.Ledger.Seal(idx, start, end, recs)
 }
 
-// FinishIngest drains every ingestion batcher and seals the final
-// (partial) usage window. Scenario.Finish calls it; it is a no-op when
-// batching is off and idempotent otherwise.
+// FinishIngest seals the final (partial) usage window. Scenario.Finish
+// calls it; it is a no-op without a ledger and idempotent otherwise.
 func (g *Grid) FinishIngest() {
-	if g.ingestMetrics == nil {
+	if g.Ledger == nil {
 		return
 	}
-	g.ingestMetrics.Drain()
-	g.ingestGanglia.Drain()
-	g.ingestACDC.Drain()
-	if w := g.Cfg.IngestWindow; w > 0 {
-		now := g.Eng.Now()
-		if idx := int64(now / w); idx > g.lastSealed {
-			g.lastSealed = idx
-			g.sealUsage(uint64(idx), time.Duration(idx)*w, now)
-		}
+	w := g.Cfg.IngestWindow
+	now := g.Eng.Now()
+	if idx := int64(now / w); idx > g.lastSealed {
+		g.lastSealed = idx
+		g.sealUsage(uint64(idx), time.Duration(idx)*w, now)
 	}
-}
-
-// IngestStats returns the three batchers' activity counters (all zero
-// when batching is off): metric pipeline, Ganglia history, ACDC
-// warehouse.
-func (g *Grid) IngestStats() (metrics, gangliaHist, acdcPath ingest.Stats) {
-	if g.ingestMetrics == nil {
-		return
-	}
-	return g.ingestMetrics.Stats(), g.ingestGanglia.Stats(), g.ingestACDC.Stats()
 }

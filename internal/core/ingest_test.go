@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"time"
@@ -9,8 +12,8 @@ import (
 	"grid3/internal/vo"
 )
 
-// ingestScenario runs one short scenario with the given ingest batching
-// config and returns it finished.
+// ingestScenario runs one short scenario, with the usage ledger armed
+// when batch is positive, and returns it finished.
 func ingestScenario(t *testing.T, batch int) *Scenario {
 	t.Helper()
 	s, err := NewScenario(ScenarioConfig{
@@ -25,10 +28,9 @@ func ingestScenario(t *testing.T, batch int) *Scenario {
 	return s
 }
 
-// TestIngestBatchingEquivalence checks the tentpole determinism claim at
-// the scenario level: a run with the monitoring path batched is
-// indistinguishable from the per-event run across job accounting,
-// figures, and the full monitoring repository contents.
+// TestIngestBatchingEquivalence checks that arming the usage ledger does
+// not perturb the run: job accounting, figures, and the full monitoring
+// repository contents match the run without it.
 func TestIngestBatchingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario run in -short mode")
@@ -48,8 +50,7 @@ func TestIngestBatchingEquivalence(t *testing.T) {
 			t.Fatalf("figure2[%s] differs: %v vs %v", k, f2[k], v)
 		}
 	}
-	// The repository must hold exactly the same series with the same
-	// latest samples (reads drain the batcher first).
+	// The repository must hold exactly the same series.
 	sr, sb := ref.Grid.Repo.Series(), bat.Grid.Repo.Series()
 	if len(sr) != len(sb) {
 		t.Fatalf("series count %d != %d", len(sb), len(sr))
@@ -66,16 +67,8 @@ func TestIngestBatchingEquivalence(t *testing.T) {
 			t.Fatalf("%s stats differ: %+v vs %+v", voName, b, a)
 		}
 	}
-	// The batcher actually did something.
-	m, gh, ac := bat.Grid.IngestStats()
-	if m.Events == 0 || m.Batches == 0 {
-		t.Fatalf("metric batcher idle: %+v", m)
-	}
-	if gh.Events == 0 || ac.Events == 0 {
-		t.Fatalf("ganglia/acdc batchers idle: %+v %+v", gh, ac)
-	}
-	if m.Shed != 0 || gh.Shed != 0 || ac.Shed != 0 {
-		t.Fatalf("Block policy shed events: %+v %+v %+v", m, gh, ac)
+	if bat.Grid.Ledger == nil || bat.Grid.Ledger.Len() == 0 {
+		t.Fatal("armed run sealed no ledger windows")
 	}
 	if ref.Grid.Ledger != nil {
 		t.Fatal("per-event run grew a ledger")
@@ -160,5 +153,105 @@ func TestUsageLedgerAccounting(t *testing.T) {
 	g.FinishIngest()
 	if led.Len() != n {
 		t.Fatalf("second FinishIngest grew ledger %d -> %d", n, led.Len())
+	}
+}
+
+// ledgerDigest hashes every sealed window's (index, start, end, root)
+// in seal order.
+func ledgerDigest(led *ingest.Ledger) string {
+	h := sha256.New()
+	var buf [24]byte
+	for _, w := range led.Windows() {
+		binary.BigEndian.PutUint64(buf[0:], w.Index)
+		binary.BigEndian.PutUint64(buf[8:], uint64(w.Start))
+		binary.BigEndian.PutUint64(buf[16:], uint64(w.End))
+		h.Write(buf[:])
+		h.Write(w.Root[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestUsageLedgerGolden pins the sealed ledger — window indices, spans
+// and Merkle roots — for three window lengths against digests recorded
+// when every monitoring path still ran through batching rings. The
+// default window is the 30-minute monitor interval; 10 minutes is
+// shorter, so indices skip the windows no poll lands in; 2 hours is
+// longer, so several polls (and the obs bridge) land in each window.
+func TestUsageLedgerGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario runs in -short mode")
+	}
+	cases := []struct {
+		name        string
+		cfg         Config
+		windows     int
+		first, last uint64
+		digest      string
+	}{
+		{"default window", Config{Seed: 3, IngestBatch: 64},
+			204, 1, 204, "c85560942f7948d60b617e97f86abd81a0e18a2d4b66bf29b214ce888714b7bb"},
+		{"10m window", Config{Seed: 3, IngestBatch: 64, IngestWindow: 10 * time.Minute},
+			204, 3, 612, "79b0a0746956d56477ce698e15ce7b6caf0b137816fa19cc28bc985ff30fa384"},
+		{"2h window", Config{Seed: 3, IngestBatch: 64, IngestWindow: 2 * time.Hour,
+			EnableHealth: true, EnableRecovery: true, EnableObservability: true},
+			52, 0, 51, "daca55b5436af815ad0ee9634fc3d7562a5670f2a8b91a06078a7d323b60f940"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := NewScenario(ScenarioConfig{Config: c.cfg, Horizon: 4 * 24 * time.Hour, JobScale: 0.01})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			ws := s.Grid.Ledger.Windows()
+			if len(ws) != c.windows || ws[0].Index != c.first || ws[len(ws)-1].Index != c.last {
+				t.Fatalf("sealed %d windows [%d..%d], want %d [%d..%d]",
+					len(ws), ws[0].Index, ws[len(ws)-1].Index, c.windows, c.first, c.last)
+			}
+			if got := ledgerDigest(s.Grid.Ledger); got != c.digest {
+				t.Fatalf("ledger digest %s, want %s", got, c.digest)
+			}
+		})
+	}
+}
+
+// TestMonitoringReadsKeepLedger reads the repository in the middle of
+// every 30-minute window, as grid3d's monitor endpoint does, and
+// requires the same ledger as an unread run. Reads must not hide a
+// window rollover from the clock.
+func TestMonitoringReadsKeepLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario runs in -short mode")
+	}
+	run := func(read bool) []ingest.Window {
+		s, err := NewScenario(ScenarioConfig{
+			Config:   Config{Seed: 5, IngestBatch: 64},
+			Horizon:  2 * 24 * time.Hour,
+			JobScale: 0.01,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read {
+			for at := 15 * time.Minute; at < s.Cfg.Horizon; at += 30 * time.Minute {
+				s.RunUntil(at)
+				s.Grid.Repo.Series()
+			}
+		}
+		s.Run()
+		return s.Grid.Ledger.Windows()
+	}
+	want, got := run(false), run(true)
+	if len(want) != 108 {
+		t.Fatalf("unread run sealed %d windows, want 108", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read run sealed %d windows, unread run %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Index != want[i].Index || got[i].Root != want[i].Root {
+			t.Fatalf("window %d: read run has index %d root %x, unread run index %d root %x",
+				i, got[i].Index, got[i].Root, want[i].Index, want[i].Root)
+		}
 	}
 }

@@ -16,20 +16,18 @@ import (
 // counters, and scheduler facts. Normalize zeroes them so two runs of the
 // same spec diff clean everywhere else.
 var wallClockKeys = map[string]bool{
-	"wall_seconds":           true,
-	"elapsed_seconds":        true,
-	"events_per_second":      true,
-	"best_events_per_second": true,
-	"ns_per_sim_day":         true,
-	"mallocs":                true,
-	"alloc_bytes":            true,
-	"bytes_per_event":        true,
-	"gomaxprocs":             true,
-	"workers":                true,
-	"speedup_est":            true,
-	"summed_run_seconds":     true,
-	"max_pending":            true,
-	"parallel_speedup":       true,
+	"wall_seconds":       true,
+	"elapsed_seconds":    true,
+	"events_per_second":  true,
+	"ns_per_sim_day":     true,
+	"mallocs":            true,
+	"alloc_bytes":        true,
+	"bytes_per_event":    true,
+	"gomaxprocs":         true,
+	"workers":            true,
+	"speedup_est":        true,
+	"summed_run_seconds": true,
+	"parallel_speedup":   true,
 }
 
 // Normalize rewrites a report JSON with every wall-clock field zeroed and
@@ -224,9 +222,8 @@ func headline(o Outcome) string {
 		return fmt.Sprintf("managed TB/day min %.2f mean %.2f max %.2f",
 			num(v["managed_tb_per_day_min"]), num(v["managed_tb_per_day_mean"]), num(v["managed_tb_per_day_max"]))
 	case ModeIngest:
-		points, _ := v["points"].([]any)
-		return fmt.Sprintf("%d batch points; audit %d windows, verified=%v",
-			len(points), int(num(v["audit_windows"])), v["audit_verified"])
+		return fmt.Sprintf("audit %d windows, verified=%v",
+			int(num(v["audit_windows"])), v["audit_verified"])
 	case ModeSweep:
 		runs, _ := v["runs"].([]any)
 		jobs := 0.0

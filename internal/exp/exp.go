@@ -32,7 +32,7 @@ const (
 	ModeChaos  = "chaos"  // campaign.ChaosSweep: seeds x intensities, baseline vs recovery
 	ModeScale  = "scale"  // campaign.ScaleSweep: growing site populations, serial points
 	ModeData   = "data"   // campaign.DataSweep: raw GridFTP baseline vs managed plane
-	ModeIngest = "ingest" // campaign.IngestSweep: synthetic metric stream per batch size
+	ModeIngest = "ingest" // campaign.IngestSweep: synthetic metric stream through per-event ingest
 	ModeSweep  = "sweep"  // campaign.Sweep: one full scenario per seed
 )
 
@@ -90,14 +90,13 @@ type Experiment struct {
 
 // Axes are the swept dimensions. Which fields are legal depends on the
 // mode — seeds everywhere but ingest, intensities only for chaos, sites
-// only for scale, batch_sizes only for ingest — and validation rejects a
-// spec that crosses them. Empty axes fall back to the campaign's own
+// only for scale; ingest sweeps none — and validation rejects a spec
+// that crosses them. Empty axes fall back to the campaign's own
 // defaults.
 type Axes struct {
 	Seeds       []int64   `json:"seeds,omitempty"`
 	Intensities []float64 `json:"intensities,omitempty"`
 	Sites       []int     `json:"sites,omitempty"`
-	BatchSizes  []int     `json:"batch_sizes,omitempty"`
 }
 
 // Knobs are the scenario settings held constant across the experiment's
@@ -119,12 +118,10 @@ type Knobs struct {
 	Shards int `json:"shards,omitempty"`
 	// Watermark is the managed data plane's cleanup threshold.
 	Watermark float64 `json:"watermark,omitempty"`
-	// Events is the synthetic stream length per ingest point.
+	// Events is the ingest sweep's synthetic stream length.
 	Events int `json:"events,omitempty"`
 	// AuditDays bounds the ingest audit leg (0 = default 2; negative skips).
 	AuditDays int `json:"audit_days,omitempty"`
-	// Window is the ingest batching window (0 = 5 minutes).
-	Window Duration `json:"window,omitempty"`
 	// Workers caps campaign parallelism (0 = GOMAXPROCS). Point results
 	// never depend on it; only wall time does.
 	Workers int `json:"workers,omitempty"`
@@ -234,7 +231,6 @@ func (e *Experiment) validate() error {
 		{"axis", "seeds", len(e.Axes.Seeds) > 0, scenarioModes},
 		{"axis", "intensities", len(e.Axes.Intensities) > 0, modes{ModeChaos: true}},
 		{"axis", "sites", len(e.Axes.Sites) > 0, modes{ModeScale: true}},
-		{"axis", "batch_sizes", len(e.Axes.BatchSizes) > 0, modes{ModeIngest: true}},
 		{"knob", "scale", k.Scale != 0, scenarioModes},
 		{"knob", "days", k.Days != 0, scenarioModes},
 		{"knob", "testbed_sites", k.TestbedSites != 0, pooledModes},
@@ -244,7 +240,6 @@ func (e *Experiment) validate() error {
 		{"knob", "watermark", k.Watermark != 0, modes{ModeData: true}},
 		{"knob", "events", k.Events != 0, modes{ModeIngest: true}},
 		{"knob", "audit_days", k.AuditDays != 0, modes{ModeIngest: true}},
-		{"knob", "window", k.Window != 0, modes{ModeIngest: true}},
 	}
 	switch e.Mode {
 	case ModeChaos, ModeScale, ModeData, ModeIngest, ModeSweep:
@@ -266,11 +261,6 @@ func (e *Experiment) validate() error {
 			return fmt.Errorf("site count %d is not positive", n)
 		}
 	}
-	for _, n := range e.Axes.BatchSizes {
-		if n < 0 {
-			return fmt.Errorf("batch size %d is negative", n)
-		}
-	}
 	if k.Scale < 0 {
 		return fmt.Errorf("scale %g is negative", k.Scale)
 	}
@@ -284,7 +274,6 @@ func (e *Experiment) validate() error {
 		name string
 		v    Duration
 	}{
-		{"window", k.Window},
 		{"upgrade_at", k.UpgradeAt},
 		{"upgrade_stagger", k.UpgradeStagger},
 		{"cert_lifetime", k.CertLifetime},

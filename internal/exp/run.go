@@ -156,11 +156,9 @@ func runExperiment(e *Experiment) (report, error) {
 		})
 	case ModeIngest:
 		return campaign.IngestSweep(campaign.IngestSweepConfig{
-			BatchSizes: e.Axes.BatchSizes,
-			Events:     e.Knobs.Events,
-			Window:     e.Knobs.Window.Std(),
-			AuditDays:  e.Knobs.AuditDays,
-			Base:       base,
+			Events:    e.Knobs.Events,
+			AuditDays: e.Knobs.AuditDays,
+			Base:      base,
 		})
 	case ModeSweep:
 		seeds := e.Axes.Seeds

@@ -76,15 +76,6 @@ type Gmetad struct {
 	last    ClusterSummary
 	history map[string]*rrd.Database
 	specs   []rrd.ArchiveSpec
-
-	// Stage, when set, receives each poll's history samples (in sorted
-	// metric order) instead of the immediate RRD update; the ingest
-	// batcher commits them later through CommitHistory. The live
-	// Summary is unaffected — only history writes are staged.
-	Stage func(metric string, t time.Duration, v float64)
-	// PreRead, when set, runs before history reads; the ingest batcher
-	// hooks its Drain here (read-your-writes).
-	PreRead func()
 }
 
 // DefaultArchives is the Grid3 dashboard configuration: 5-minute buckets
@@ -129,34 +120,16 @@ func (g *Gmetad) poll() {
 		}
 	}
 	g.last = sum
-	if g.Stage != nil {
-		// Staged path: emit in sorted metric order so batch contents are
-		// reproducible run-to-run (map iteration order is not).
-		keys := make([]string, 0, len(sum.Metrics))
-		for metric := range sum.Metrics {
-			keys = append(keys, metric)
-		}
-		sort.Strings(keys)
-		for _, metric := range keys {
-			g.Stage(metric, sum.Time, sum.Metrics[metric])
-		}
-		return
-	}
+	// Every metric has its own RRD, so the map's iteration order cannot
+	// show in the history.
 	for metric, v := range sum.Metrics {
-		g.CommitHistory(metric, sum.Time, v)
+		db, ok := g.history[metric]
+		if !ok {
+			db = rrd.MustNew(g.specs...)
+			g.history[metric] = db
+		}
+		db.Update(sum.Time, v)
 	}
-}
-
-// CommitHistory applies one history sample to the metric's RRD — the
-// write half of poll, called directly on the per-event path and from
-// the ingest batcher's commit on the staged path.
-func (g *Gmetad) CommitHistory(metric string, t time.Duration, v float64) {
-	db, ok := g.history[metric]
-	if !ok {
-		db = rrd.MustNew(g.specs...)
-		g.history[metric] = db
-	}
-	db.Update(t, v)
 }
 
 // Summary returns the most recent cluster summary.
@@ -165,9 +138,6 @@ func (g *Gmetad) Summary() ClusterSummary { return g.last }
 // History returns consolidated points of a metric from archive idx in
 // (from, to].
 func (g *Gmetad) History(metric string, idx int, from, to time.Duration) ([]rrd.Point, error) {
-	if g.PreRead != nil {
-		g.PreRead()
-	}
 	db, ok := g.history[metric]
 	if !ok {
 		return nil, fmt.Errorf("ganglia: no history for metric %q at %s", metric, g.cluster)

@@ -1,10 +1,14 @@
-package ingest
-
-// Merkle-batched integrity roots over per-VO usage accounting. Each
-// monitoring window seals into a small Merkle tree whose leaves are the
-// window's per-VO usage records (jobs completed, CPU seconds, bytes
-// moved); the iGOC publishes only the roots, and any usage claim is
-// checkable with an inclusion proof — no rescan of raw events needed.
+// Package ingest is the iGOC's per-VO usage ledger: per-window Merkle
+// roots over the usage accounted from the monitoring collectors, so
+// "who used what" is answerable verifiably without rescanning raw
+// events. Each monitoring window seals into a small Merkle tree whose
+// leaves are the window's per-VO usage records (jobs completed, CPU
+// seconds, bytes moved); the iGOC publishes only the roots, and any
+// usage claim is checkable with an inclusion proof.
+//
+// The ledger is passive and single-writer: it schedules no engine
+// events and draws no randomness. internal/core decides when a window
+// closes and seals it.
 //
 // Wire format (audit claims, version 1):
 //
@@ -18,6 +22,7 @@ package ingest
 // direction bytes are all rejected with ErrBadProof, never a panic
 // (fuzz_test.go holds the decoder to that). Bumping the layout bumps
 // the version byte; old decoders reject newer claims cleanly.
+package ingest
 
 import (
 	"crypto/sha256"
@@ -275,9 +280,9 @@ type Window struct {
 	Root    [32]byte
 }
 
-// Ledger is the iGOC's append-only sequence of sealed windows. Like the
-// batcher it is passive and single-writer: core seals windows at
-// deterministic sim instants, the audit API only reads.
+// Ledger is the iGOC's append-only sequence of sealed windows. Core
+// seals windows at deterministic sim instants; the audit API only
+// reads.
 type Ledger struct {
 	windows []Window
 	byIndex map[uint64]int

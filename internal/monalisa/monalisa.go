@@ -29,9 +29,6 @@ type Metric struct {
 	Value float64
 }
 
-// Key renders the series identity.
-func (m Metric) Key() string { return m.Farm + "/" + m.Param }
-
 // Agent produces metrics when polled. VO-specific agents (jobs run per VO,
 // compute element usage, I/O) implement this.
 type Agent interface {
@@ -120,17 +117,15 @@ func Scale(factor float64, next func(Metric)) func(Metric) {
 // plus live subscriptions.
 type Repository struct {
 	clock  sim.Clock
-	series map[string]*rrd.Database
-	last   map[string]Metric
+	series map[seriesKey]*rrd.Database
+	last   map[seriesKey]Metric
 	specs  []rrd.ArchiveSpec
 	subs   []subscription
-
-	// PreRead, when set, runs before every read (Last, Series, History,
-	// FarmTotal). The ingest batcher hooks its Drain here so staged
-	// batches commit before any consumer looks — readers observe exactly
-	// the state per-event delivery would have produced.
-	PreRead func()
 }
+
+// seriesKey identifies a series by its (farm, parameter) pair, so the
+// ingest path looks series up without building a joined name.
+type seriesKey struct{ farm, param string }
 
 type subscription struct {
 	pred func(Metric) bool
@@ -148,15 +143,15 @@ var DefaultArchives = []rrd.ArchiveSpec{
 func NewRepository(clock sim.Clock) *Repository {
 	return &Repository{
 		clock:  clock,
-		series: make(map[string]*rrd.Database),
-		last:   make(map[string]Metric),
+		series: make(map[seriesKey]*rrd.Database),
+		last:   make(map[seriesKey]Metric),
 		specs:  DefaultArchives,
 	}
 }
 
 // Ingest stores a metric; use it as a Station sink.
 func (r *Repository) Ingest(m Metric) {
-	key := m.Key()
+	key := seriesKey{m.Farm, m.Param}
 	db, ok := r.series[key]
 	if !ok {
 		db = rrd.MustNew(r.specs...)
@@ -173,42 +168,6 @@ func (r *Repository) Ingest(m Metric) {
 	}
 }
 
-// IngestBatch commits a batch in arrival order: the grouped equivalent
-// of calling Ingest per metric (same writes, same subscription fan-out
-// order), with the per-event series lookup amortized across runs of
-// same-key metrics — stations emit their gauges back-to-back, so the
-// memo hits most of the time.
-func (r *Repository) IngestBatch(ms []Metric) {
-	var lastKey string
-	var lastDB *rrd.Database
-	for i := range ms {
-		m := ms[i]
-		key := m.Key()
-		if lastDB == nil || key != lastKey {
-			db, ok := r.series[key]
-			if !ok {
-				db = rrd.MustNew(r.specs...)
-				r.series[key] = db
-			}
-			lastKey, lastDB = key, db
-		}
-		_ = lastDB.Update(m.Time, m.Value)
-		r.last[key] = m
-		for _, sub := range r.subs {
-			if sub.pred == nil || sub.pred(m) {
-				sub.fn(m)
-			}
-		}
-	}
-}
-
-// preRead runs the read barrier, if any.
-func (r *Repository) preRead() {
-	if r.PreRead != nil {
-		r.PreRead()
-	}
-}
-
 // Subscribe attaches a live consumer; pred nil means all metrics.
 func (r *Repository) Subscribe(pred func(Metric) bool, fn func(Metric)) {
 	r.subs = append(r.subs, subscription{pred: pred, fn: fn})
@@ -216,17 +175,15 @@ func (r *Repository) Subscribe(pred func(Metric) bool, fn func(Metric)) {
 
 // Last returns the latest sample of a series.
 func (r *Repository) Last(farm, param string) (Metric, bool) {
-	r.preRead()
-	m, ok := r.last[farm+"/"+param]
+	m, ok := r.last[seriesKey{farm, param}]
 	return m, ok
 }
 
-// Series lists known series keys, sorted.
+// Series lists known series as "farm/param" names, sorted.
 func (r *Repository) Series() []string {
-	r.preRead()
 	out := make([]string, 0, len(r.series))
 	for k := range r.series {
-		out = append(out, k)
+		out = append(out, k.farm+"/"+k.param)
 	}
 	sort.Strings(out)
 	return out
@@ -234,8 +191,7 @@ func (r *Repository) Series() []string {
 
 // History fetches consolidated points for one series from archive idx.
 func (r *Repository) History(farm, param string, idx int, from, to time.Duration) ([]rrd.Point, error) {
-	r.preRead()
-	db, ok := r.series[farm+"/"+param]
+	db, ok := r.series[seriesKey{farm, param}]
 	if !ok {
 		return nil, fmt.Errorf("monalisa: no series %s/%s", farm, param)
 	}
@@ -246,7 +202,6 @@ func (r *Repository) History(farm, param string, idx int, from, to time.Duration
 // FarmTotal sums the latest values of one parameter across all farms — the
 // repository's grid-wide aggregate view.
 func (r *Repository) FarmTotal(param string) float64 {
-	r.preRead()
 	t := 0.0
 	for _, m := range r.last {
 		if m.Param == param {

@@ -130,3 +130,23 @@ func TestStationStop(t *testing.T) {
 		t.Fatal("station polled after Stop")
 	}
 }
+
+// TestIngestKnownSeriesAllocatesNothing holds the repository's hot path
+// allocation-free: a metric for a series that already exists is looked
+// up by its (farm, parameter) pair, with no joined name built.
+func TestIngestKnownSeriesAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(sim.Grid3Epoch)
+	repo := NewRepository(eng)
+	m := Metric{Farm: "UC_ATLAS_Tier2", Param: "grid3.jobs.running", Value: 3}
+	repo.Ingest(m)
+	allocs := testing.AllocsPerRun(500, func() {
+		m.Time += time.Minute
+		repo.Ingest(m)
+	})
+	if allocs != 0 {
+		t.Fatalf("Ingest into a known series: %v allocs per event, want 0", allocs)
+	}
+	if last, ok := repo.Last(m.Farm, m.Param); !ok || last != m {
+		t.Fatalf("last = %+v, %v; want %+v", last, ok, m)
+	}
+}

@@ -14,8 +14,8 @@ import (
 // The audit surface publishes the per-window Merkle roots sealed over
 // per-VO usage records (completed jobs, CPU seconds, bytes moved) and
 // inclusion proofs for individual (window, VO) claims. It exists only
-// when the daemon runs with ingest batching (-ingest-batch); without a
-// ledger both routes answer 404.
+// when the daemon runs with the ledger armed (-ingest-batch N > 0);
+// without a ledger both routes answer 404.
 
 type auditRootJSON struct {
 	Window  uint64 `json:"window"`
@@ -49,7 +49,7 @@ func (s *Service) handleAuditRoots(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !hasLedger {
-		writeJSON(w, http.StatusNotFound, errDTO("usage ledger disabled; run with ingest batching"))
+		writeJSON(w, http.StatusNotFound, errDTO("usage ledger disabled; run with -ingest-batch N > 0"))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"windows": len(roots), "roots": roots})
@@ -111,7 +111,7 @@ func (s *Service) handleAuditProof(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !hasLedger {
-		writeJSON(w, http.StatusNotFound, errDTO("usage ledger disabled; run with ingest batching"))
+		writeJSON(w, http.StatusNotFound, errDTO("usage ledger disabled; run with -ingest-batch N > 0"))
 		return
 	}
 	if proveErr != nil || out.Proof == "" {

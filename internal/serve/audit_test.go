@@ -12,7 +12,7 @@ import (
 	"grid3/internal/ingest"
 )
 
-// newAuditServer runs a fast-paced service with ingest batching on, so
+// newAuditServer runs a fast-paced service with the usage ledger armed, so
 // usage windows seal while the test watches.
 func newAuditServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()

@@ -16,7 +16,7 @@
 #   5. parallel matchmaking (-shards 4) matches the serial run
 #   6. checkpoint/restore matches straight-through, corrupt snapshots
 #      are refused
-#   7. ingest batching (-ingest-batch) matches the per-event run
+#   7. arming the usage ledger (-ingest-batch) leaves the output unchanged
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -78,9 +78,9 @@ if "$SIM" -restore "$WORK/snap.g3" > /dev/null 2> "$WORK/corrupt.err"; then
 fi
 grep -q "checkpoint" "$WORK/corrupt.err"
 
-echo '== determinism: ingest batching matches per-event'
-# The batcher reorders commit timing, never content: a batched run must
-# reproduce the per-event run byte for byte, at any batch size.
+echo '== determinism: arming the usage ledger leaves the output unchanged'
+# The ledger only reads accounting at window seals: a run with it armed
+# must reproduce the run without it byte for byte.
 "$SIM" -days 20 -scale 0.1 -seed 7 > "$WORK/run-plain.txt"
 "$SIM" -days 20 -scale 0.1 -seed 7 -ingest-batch 256 > "$WORK/run-batched.txt"
 same "$WORK/run-plain.txt" "$WORK/run-batched.txt"

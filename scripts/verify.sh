@@ -3,8 +3,8 @@
 # and the race detector over the concurrency surfaces (the campaigns'
 # shared fan-out, the shared metrics registry, the health monitor,
 # parallel matchmaking's eval pool, the serve ingress boundary, the
-# checkpoint store and its concurrent warm-start consumers, the ingest
-# batching pipeline).
+# checkpoint store and its concurrent warm-start consumers, and the usage
+# ledger the serve audit routes read).
 #
 # CI runs this exact script (.github/workflows/ci.yml), so the local gate
 # and the hosted one cannot drift. Runs from any directory:
