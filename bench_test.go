@@ -610,36 +610,3 @@ func BenchmarkSweep(b *testing.B) {
 			parallel.Elapsed.Round(time.Millisecond), serial.Elapsed.Round(time.Millisecond), speedup)
 	})
 }
-
-// BenchmarkShardedDay measures parallel matchmaking at the scaled testbed's
-// target point: a 1000-site simulated day with the matchmaking scan fanned
-// across 4 region workers. The parallel-speedup metric is work-parallelism
-// from the shard stats — summed scan work over the critical path (each
-// fork-join round's slowest worker) — so it measures the partition's
-// balance even on a single-core host where wall clock cannot show overlap.
-func BenchmarkShardedDay(b *testing.B) {
-	const shards = 4
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		s, err := core.NewScenario(core.ScenarioConfig{
-			Config:   core.Config{Seed: 1, TestbedSites: 1000, Shards: shards},
-			Horizon:  24 * time.Hour,
-			JobScale: 0.1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Run()
-		st := s.Grid.ShardStats()
-		if st.Windows == 0 {
-			b.Fatal("sharded run recorded no evaluation windows")
-		}
-		speedup = st.Speedup()
-		if i == 0 && firstRun("SHARD-DAY") {
-			fmt.Printf("# sharded day: 1000 sites, %d shards, %d windows, %.2fx work-parallelism\n",
-				shards, st.Windows, speedup)
-		}
-	}
-	b.ReportMetric(speedup, "parallel-speedup")
-	b.ReportMetric(shards, "shards")
-}

@@ -5,7 +5,7 @@
 //
 //	grid3d [-addr :8080] [-pace 3600] [-seed N] [-sites N] [-scale F] [-days D]
 //	       [-srm] [-health] [-recovery] [-doors N] [-cleanup] [-replica-rank]
-//	       [-shards N] [-config grid3d.json] [-json-out status.json]
+//	       [-config grid3d.json] [-json-out status.json]
 //	       [-checkpoint-dir DIR] [-checkpoint-every 6h] [-checkpoint-keep 3]
 //
 // Endpoints (all JSON; see the README endpoint table):
@@ -79,7 +79,6 @@ func main() {
 	doors := flag.Int("doors", 0, "bound concurrent GridFTP flows per endpoint (0 = historical unbounded WAN)")
 	cleanupOn := flag.Bool("cleanup", false, "arm the SRM lifecycle loop (expiry, pins, watermark eviction)")
 	replicaRank := flag.Bool("replica-rank", false, "rank Pegasus stage-in replicas by live WAN load")
-	shards := flag.Int("shards", 0, "partition the testbed into N regions and evaluate them on a worker each (output is identical at every N)")
 	ingestBatch := flag.Int("ingest-batch", 0, "N > 0 arms the per-VO Merkle usage ledger served at /api/v1/audit/* (not a batch size: every N > 0 is the same)")
 	ingestWindow := flag.Duration("ingest-window", 0, "usage-ledger window (0 = the monitor interval; needs -ingest-batch)")
 	maxPending := flag.Int("max-pending", 0, "ingress mailbox depth before shedding (0 = the serve default, 4096)")
@@ -101,7 +100,6 @@ func main() {
 				TransferDoors:        *doors,
 				EnableStorageCleanup: *cleanupOn,
 				EnableReplicaRanking: *replicaRank,
-				Shards:               *shards,
 				IngestBatch:          *ingestBatch,
 				IngestWindow:         *ingestWindow,
 			},
@@ -161,7 +159,6 @@ func main() {
 		default:
 			cfg.Restore = snap
 			cfg.RestoreOverrides = core.RestoreOverrides{
-				Shards:  *shards,
 				Horizon: cfg.Scenario.Horizon,
 			}
 			fmt.Printf("grid3d: restoring snapshot %s (sim %v, %d journal ops)\n",

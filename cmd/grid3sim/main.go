@@ -24,14 +24,6 @@
 //
 //	grid3sim -sites 1000 -days 1
 //
-// Parallel matchmaking: -shards N partitions the testbed into N regions
-// and runs the Condor-G candidate scan on a worker goroutine per region.
-// The run's output is bit-identical to -shards 1 at every N; the bench
-// record gains a parallel_speedup field (total region work over the
-// critical path):
-//
-//	grid3sim -sites 1000 -days 1 -shards 4 -json-out bench.json
-//
 // Data plane: -doors bounds concurrent GridFTP flows per endpoint (excess
 // transfers queue FIFO), -cleanup arms the SRM lifecycle loop (scheduled
 // reservation expiry, pins, watermark eviction), and -replica-rank picks
@@ -109,7 +101,6 @@ func main() {
 	doors := flag.Int("doors", 0, "bound concurrent GridFTP flows per endpoint (0 = historical unbounded WAN)")
 	cleanupOn := flag.Bool("cleanup", false, "arm the SRM lifecycle loop (scheduled expiry, pins, watermark eviction sweep)")
 	replicaRank := flag.Bool("replica-rank", false, "rank Pegasus stage-in replicas by live WAN load")
-	shards := flag.Int("shards", 0, "partition the testbed into N regions and evaluate them on a worker each (output is identical at every N)")
 	ingestBatch := flag.Int("ingest-batch", 0, "N > 0 arms the per-VO Merkle usage ledger (not a batch size: every N > 0 is the same; output is identical with or without it)")
 	ingestWindow := flag.Duration("ingest-window", 0, "usage-ledger window (0 = the monitor interval; needs -ingest-batch)")
 	upgradeAt := flag.Duration("upgrade-at", 0, "start the rolling VDT/Pacman upgrade wave at this sim time (0 = off)")
@@ -140,7 +131,6 @@ func main() {
 			TransferDoors:        *doors,
 			EnableStorageCleanup: *cleanupOn,
 			EnableReplicaRanking: *replicaRank,
-			Shards:               *shards,
 			IngestBatch:          *ingestBatch,
 			IngestWindow:         *ingestWindow,
 		},
@@ -187,7 +177,7 @@ func main() {
 		if daysSet {
 			horizon = time.Duration(*days) * 24 * time.Hour
 		}
-		if err := warmStart(*restorePath, *warmSeeds, horizon, *shards, *parallel, *jsonOut); err != nil {
+		if err := warmStart(*restorePath, *warmSeeds, horizon, *parallel, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "grid3sim:", err)
 			os.Exit(1)
 		}
@@ -241,9 +231,9 @@ func main() {
 	var err error
 	if *restorePath != "" {
 		// Restore keeps the snapshot's recorded configuration; the flags that
-		// may legitimately differ at restore time (shards, an extended
-		// horizon, fresh observability sinks, re-armed checkpointing) pass
-		// through the override whitelist.
+		// may legitimately differ at restore time (an extended horizon,
+		// fresh observability sinks, re-armed checkpointing) pass through
+		// the override whitelist.
 		var snap *checkpoint.Snapshot
 		snap, _, err = checkpoint.Latest(checkpoint.NewFileStore(*restorePath))
 		if err != nil {
@@ -251,7 +241,6 @@ func main() {
 			os.Exit(1)
 		}
 		ov := core.RestoreOverrides{
-			Shards:          *shards,
 			TraceSinks:      cfg.TraceSinks,
 			MetricsSinks:    cfg.MetricsSinks,
 			CheckpointAt:    cfg.CheckpointAt,
@@ -311,7 +300,6 @@ func main() {
 			Seeds:      []int64{runSeed},
 			Scale:      runScale,
 			Days:       runDays,
-			Shards:     *shards,
 			WallSecs:   elapsed.Seconds(),
 			SerialSecs: elapsed.Seconds(),
 			Speedup:    1,
@@ -323,9 +311,6 @@ func main() {
 			}},
 		}
 		rec.EventsPerSec = float64(rec.Events) / elapsed.Seconds()
-		if st := s.Grid.ShardStats(); st.Windows > 0 {
-			rec.ParallelSpeedup = st.Speedup()
-		}
 		if err := writeBenchJSON(*jsonOut, rec); err != nil {
 			fmt.Fprintln(os.Stderr, "grid3sim: writing bench JSON:", err)
 		}
@@ -559,7 +544,7 @@ func parseDurations(list string) ([]time.Duration, error) {
 // warmStart runs the warm-start campaign: the -restore snapshot forked into
 // one variant per forward seed, every fork sharing the digest-verified
 // warmup prefix.
-func warmStart(snapPath, seedList string, horizon time.Duration, shards, workers int, jsonPath string) error {
+func warmStart(snapPath, seedList string, horizon time.Duration, workers int, jsonPath string) error {
 	snap, _, err := checkpoint.Latest(checkpoint.NewFileStore(snapPath))
 	if err != nil {
 		return err
@@ -574,7 +559,6 @@ func warmStart(snapPath, seedList string, horizon time.Duration, shards, workers
 			Name:        fmt.Sprintf("seed%d", fs),
 			ForwardSeed: fs,
 			Horizon:     horizon,
-			Shards:      shards,
 		}
 	}
 	rep, err := campaign.WarmStart(campaign.WarmStartConfig{
@@ -613,21 +597,15 @@ type benchRecord struct {
 	Seeds      []int64 `json:"seeds"`
 	Scale      float64 `json:"scale"`
 	Days       int     `json:"days"`
-	// Shards is the -shards region count (0 = serial run).
-	Shards   int     `json:"shards,omitempty"`
-	WallSecs float64 `json:"wall_seconds"`
+	WallSecs   float64 `json:"wall_seconds"`
 	// SerialSecs sums per-run elapsed times; in sweep mode those are
 	// measured under worker contention, so SerialSecs/Speedup estimate
 	// (and on oversubscribed CPUs overstate) the true serial baseline.
-	SerialSecs float64 `json:"summed_run_seconds"`
-	Speedup    float64 `json:"speedup_est"`
-	// ParallelSpeedup is the sharded run's achieved work-parallelism:
-	// summed per-region evaluation work divided by the critical path
-	// (the per-barrier maximum). Present only when -shards > 1 did work.
-	ParallelSpeedup float64    `json:"parallel_speedup,omitempty"`
-	Events          uint64     `json:"events_total"`
-	EventsPerSec    float64    `json:"events_per_second"`
-	Runs            []benchRun `json:"runs"`
+	SerialSecs   float64    `json:"summed_run_seconds"`
+	Speedup      float64    `json:"speedup_est"`
+	Events       uint64     `json:"events_total"`
+	EventsPerSec float64    `json:"events_per_second"`
+	Runs         []benchRun `json:"runs"`
 }
 
 type benchRun struct {

@@ -32,16 +32,15 @@
 // # Options and flags
 //
 // The With* options are grouped into sections below — engine & testbed,
-// sharding, observability, fault management, data plane, serve — and every
+// observability, fault management, data plane, serve — and every
 // cmd/grid3sim flag is a thin wrapper over one of them:
 //
 //	WithSeed            -seed        WithHealthProbes     -health
 //	WithTestbedScale    -sites       WithRecovery         -recovery
 //	WithHorizon         -days        WithSRM              -srm
 //	WithJobScale        -scale       WithTransferDoors    -doors
-//	WithShards          -shards      WithStorageCleanup   -cleanup
-//	WithoutFailures     -no-failures WithReplicaRanking   -replica-rank
-//	WithoutAffinity     -no-affinity
+//	WithoutFailures     -no-failures WithStorageCleanup   -cleanup
+//	WithoutAffinity     -no-affinity WithReplicaRanking   -replica-rank
 //	WithTracer          -trace-out   WithMetricsSink      -metrics-out
 //	WithIngestBatching  -ingest-batch/-ingest-window
 //	WithUpgradeWave     -upgrade-at/-upgrade-stagger
@@ -178,22 +177,6 @@ func WithoutAffinity() Option {
 // WithoutTransferDemo turns off the §6.3 GridFTP demonstrator.
 func WithoutTransferDemo() Option {
 	return func(c *ScenarioConfig) { c.DisableTransferDemo = true }
-}
-
-// ── Sharding options ────────────────────────────────────────────────────
-//
-// Region-parallel evaluation. The testbed partitions into contiguous
-// regions of the dense site-ID space; the pure per-region phases of each
-// negotiation cycle run on one worker goroutine per region, and every
-// result folds back in on the engine goroutine in region order. Output is
-// bit-identical to the serial run at any shard count.
-
-// WithShards partitions the testbed into n regions and evaluates them on a
-// worker goroutine each. 0 or 1 keeps the fully serial path; n is clamped
-// to the site count. Same seed, same output, at every n — sharding buys
-// wall-clock parallelism on multi-core hosts, never a different run.
-func WithShards(n int) Option {
-	return func(c *ScenarioConfig) { c.Config.Shards = n }
 }
 
 // ── Observability options ───────────────────────────────────────────────
@@ -834,8 +817,8 @@ type (
 	// StateStore is the pluggable persistence boundary for snapshots.
 	StateStore = checkpoint.StateStore
 	// RestoreOverrides whitelists what a restore may change relative to the
-	// recorded configuration (shards, extended horizon, fresh sinks,
-	// re-armed checkpointing); the option-based Restore covers the common
+	// recorded configuration (extended horizon, fresh sinks, re-armed
+	// checkpointing, pace); the option-based Restore covers the common
 	// cases.
 	RestoreOverrides = core.RestoreOverrides
 )
@@ -871,7 +854,7 @@ func Checkpoint(s *Scenario) (*Snapshot, error) { return s.Checkpoint() }
 
 // Restore rebuilds a scenario from a snapshot by verified deterministic
 // replay. Options express the restore-time overrides — only the whitelisted
-// subset applies (WithShards, an extended WithHorizon, fresh
+// subset applies (an extended WithHorizon, fresh
 // WithTracer/WithMetricsSink sinks, WithCheckpointAt re-arming, and
 // WithRealTime); every other option is ignored, because changing workload,
 // seed, or feature flags would diverge the replay from the checkpointed
@@ -880,7 +863,6 @@ func Checkpoint(s *Scenario) (*Snapshot, error) { return s.Checkpoint() }
 func Restore(snap *Snapshot, opts ...Option) (*Scenario, error) {
 	cfg := buildConfig(opts)
 	return RestoreWith(snap, RestoreOverrides{
-		Shards:          cfg.Config.Shards,
 		Horizon:         cfg.Horizon,
 		TraceSinks:      cfg.TraceSinks,
 		MetricsSinks:    cfg.MetricsSinks,
@@ -920,8 +902,8 @@ func LatestSnapshot(st StateStore) (*Snapshot, string, error) {
 type (
 	// WarmStartConfig shapes a warm-start campaign (snapshot × variants).
 	WarmStartConfig = campaign.WarmStartConfig
-	// WarmVariant is one fork: an optional forward failure seed, an
-	// optional extended horizon, an optional shard override.
+	// WarmVariant is one fork: an optional forward failure seed and an
+	// optional extended horizon.
 	WarmVariant = campaign.WarmVariant
 	// WarmReport is a completed warm-start campaign.
 	WarmReport = campaign.WarmReport
@@ -978,7 +960,6 @@ func ServeFrom(snap *Snapshot, opts ...Option) (*Server, error) {
 		Pace:     cfg.RealTimePace,
 		Restore:  snap,
 		RestoreOverrides: RestoreOverrides{
-			Shards:          cfg.Config.Shards,
 			Horizon:         cfg.Horizon,
 			TraceSinks:      cfg.TraceSinks,
 			MetricsSinks:    cfg.MetricsSinks,

@@ -254,37 +254,3 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		t.Fatal("no stage latency histograms recorded")
 	}
 }
-
-// TestShardedRunMatchesSerial is the sharding contract: WithShards(n)
-// changes how matchmaking work is laid out across worker goroutines, never
-// what the simulation computes — same seed, same exhibits, at any shard
-// count including counts that don't divide the testbed evenly.
-func TestShardedRunMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario in -short mode")
-	}
-	exhibits := func(r *Result) (string, string) {
-		var t1, ms strings.Builder
-		r.WriteTable1(&t1)
-		r.WriteMilestones(&ms)
-		return t1.String(), ms.String()
-	}
-	serial, err := RunScenario(5, 0.005, WithHorizon(8*24*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialT1, serialMS := exhibits(serial)
-	for _, shards := range []int{4, 5} {
-		sharded, err := RunScenario(5, 0.005, WithHorizon(8*24*time.Hour), WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotT1, gotMS := exhibits(sharded)
-		if gotT1 != serialT1 {
-			t.Fatalf("Table 1 diverged at %d shards:\n--- serial ---\n%s--- sharded ---\n%s", shards, serialT1, gotT1)
-		}
-		if gotMS != serialMS {
-			t.Fatalf("milestones diverged at %d shards:\n--- serial ---\n%s--- sharded ---\n%s", shards, serialMS, gotMS)
-		}
-	}
-}

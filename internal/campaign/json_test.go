@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"encoding/json"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -110,31 +112,23 @@ func TestScaleReportJSONRoundTrip(t *testing.T) {
 		Points: []ScalePoint{
 			{Sites: 27, Seed: 1, CPUs: 2800, WallSecs: 1.5, Events: 100000,
 				Submitted: 500, Completed: 480, Goodput: 0.96},
-			{Sites: 1000, Seed: 1, Shards: 4, ParallelSpeedup: 3.4},
 		},
 	}
 	data, err := rep.JSON()
 	m := decode(t, data, err)
 	wantKeys(t, m, ScaleSchema, "grid3sim-scale",
 		"gomaxprocs", "days", "job_scale", "wall_seconds", "points")
-	pts := m["points"].([]any)
-	serial := pts[0].(map[string]any)
-	for _, k := range []string{"sites", "seed", "cpus", "wall_seconds", "events",
-		"events_per_second", "ns_per_sim_day", "mallocs", "alloc_bytes",
-		"submitted", "completed", "goodput"} {
-		if _, ok := serial[k]; !ok {
-			t.Errorf("point key %q missing", k)
-		}
+	pt := m["points"].([]any)[0].(map[string]any)
+	want := []string{"alloc_bytes", "completed", "cpus", "events",
+		"events_per_second", "goodput", "mallocs", "ns_per_sim_day",
+		"seed", "sites", "submitted", "wall_seconds"}
+	got := make([]string, 0, len(pt))
+	for k := range pt {
+		got = append(got, k)
 	}
-	if _, ok := serial["shards"]; ok {
-		t.Error("serial point must omit the shards key")
-	}
-	sharded := pts[1].(map[string]any)
-	if got := sharded["shards"]; got != 4.0 {
-		t.Errorf("sharded point shards = %v, want 4", got)
-	}
-	if got := sharded["parallel_speedup"]; got != 3.4 {
-		t.Errorf("sharded point parallel_speedup = %v, want 3.4", got)
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("point keys = %v, want exactly %v", got, want)
 	}
 }
 

@@ -24,14 +24,8 @@ type ScaleSweepConfig struct {
 	// points so ns/sim-day growth isolates the cost of more sites, not
 	// more jobs.
 	JobScale float64
-	// Shards lists the region-shard counts to measure at every (sites,
-	// seed) point; 0 or 1 entries mean the serial path. Empty defaults to
-	// {0}, or {0, Base.Config.Shards} when the base config is sharded — so
-	// a sharded sweep records the serial reference beside each sharded
-	// point and the speedup attribution stays within one sweep.
-	Shards []int
-	// Base rides along into every point's ScenarioConfig; Sites, Seed,
-	// Shards, and Horizon are overridden per point.
+	// Base rides along into every point's ScenarioConfig; Sites, Seed
+	// and Horizon are overridden per point.
 	Base core.ScenarioConfig
 }
 
@@ -51,12 +45,6 @@ type ScalePoint struct {
 	// Goodput is completed/submitted — held near the 27-site value when
 	// the matchmaking and information paths scale cleanly.
 	Goodput float64 `json:"goodput"`
-	// Shards is the point's region-shard count (absent = serial).
-	Shards int `json:"shards,omitempty"`
-	// ParallelSpeedup is the sharded point's achieved work-parallelism:
-	// summed per-region evaluation work over the critical path. Absent for
-	// serial points.
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 }
 
 // ScaleReport is a completed scale sweep.
@@ -84,35 +72,26 @@ func ScaleSweep(cfg ScaleSweepConfig) (*ScaleReport, error) {
 	if cfg.JobScale == 0 {
 		cfg.JobScale = 1.0
 	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{0}
-		if cfg.Base.Config.Shards > 1 {
-			cfg.Shards = []int{0, cfg.Base.Config.Shards}
-		}
-	}
 	start := time.Now()
 	rep := &ScaleReport{Days: cfg.Days, JobScale: cfg.JobScale}
 	for _, sites := range cfg.SiteCounts {
 		for _, seed := range cfg.Seeds {
-			for _, shards := range cfg.Shards {
-				pt, err := scalePoint(cfg, sites, seed, shards)
-				if err != nil {
-					return nil, fmt.Errorf("campaign: scale point sites=%d seed=%d shards=%d: %w", sites, seed, shards, err)
-				}
-				rep.Points = append(rep.Points, pt)
+			pt, err := scalePoint(cfg, sites, seed)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: scale point sites=%d seed=%d: %w", sites, seed, err)
 			}
+			rep.Points = append(rep.Points, pt)
 		}
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
-func scalePoint(cfg ScaleSweepConfig, sites int, seed int64, shards int) (ScalePoint, error) {
+func scalePoint(cfg ScaleSweepConfig, sites int, seed int64) (ScalePoint, error) {
 	scfg := cfg.Base
 	scfg.Config.Seed = seed
 	scfg.Config.Sites = nil
 	scfg.Config.TestbedSites = sites
-	scfg.Config.Shards = shards
 	scfg.Horizon = time.Duration(cfg.Days) * 24 * time.Hour
 	scfg.JobScale = cfg.JobScale
 
@@ -152,10 +131,6 @@ func scalePoint(cfg ScaleSweepConfig, sites int, seed int64, shards int) (ScaleP
 	if pt.Submitted > 0 {
 		pt.Goodput = float64(pt.Completed) / float64(pt.Submitted)
 	}
-	if st := s.Grid.ShardStats(); st.Windows > 0 {
-		pt.Shards = shards
-		pt.ParallelSpeedup = st.Speedup()
-	}
 	return pt, nil
 }
 
@@ -163,15 +138,11 @@ func scalePoint(cfg ScaleSweepConfig, sites int, seed int64, shards int) (ScaleP
 func (rep *ScaleReport) Write(w io.Writer) {
 	fmt.Fprintf(w, "Testbed scale sweep: %d simulated day(s) per point, job scale %.2f, total wall %v\n",
 		rep.Days, rep.JobScale, rep.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(w, "  %6s %6s %6s %7s %10s %12s %12s %12s %9s %9s %8s %8s\n",
-		"sites", "seed", "shards", "cpus", "wall(s)", "events", "events/s", "mallocs", "submit", "done", "goodput", "pspeed")
+	fmt.Fprintf(w, "  %6s %6s %7s %10s %12s %12s %12s %9s %9s %8s\n",
+		"sites", "seed", "cpus", "wall(s)", "events", "events/s", "mallocs", "submit", "done", "goodput")
 	for _, pt := range rep.Points {
-		pspeed := "-"
-		if pt.ParallelSpeedup > 0 {
-			pspeed = fmt.Sprintf("%.2fx", pt.ParallelSpeedup)
-		}
-		fmt.Fprintf(w, "  %6d %6d %6d %7d %10.2f %12d %12.0f %12d %9d %9d %7.1f%% %8s\n",
-			pt.Sites, pt.Seed, pt.Shards, pt.CPUs, pt.WallSecs, pt.Events, pt.EventsPerS,
-			pt.Mallocs, pt.Submitted, pt.Completed, 100*pt.Goodput, pspeed)
+		fmt.Fprintf(w, "  %6d %6d %7d %10.2f %12d %12.0f %12d %9d %9d %7.1f%%\n",
+			pt.Sites, pt.Seed, pt.CPUs, pt.WallSecs, pt.Events, pt.EventsPerS,
+			pt.Mallocs, pt.Submitted, pt.Completed, 100*pt.Goodput)
 	}
 }

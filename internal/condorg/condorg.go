@@ -112,10 +112,6 @@ type Resource struct {
 	// scan pays a closure call instead of a site-name hash — and takes
 	// precedence over Schedd.Exclude when both are set.
 	Excluded func() bool
-	// Region is the site's region shard (intern.Regions over its dense
-	// ID). Sharded matchmaking chunks the candidate list by region; 0 for
-	// every resource (the default) degrades to a single chunk.
-	Region int
 
 	inFlight int
 	// backoffUntil pauses submissions after an overload/down response.
@@ -184,18 +180,6 @@ type Schedd struct {
 	// fresh one every cycle.
 	spareIdle []*GridJob
 
-	// Region-sharded matchmaking (SetParallel). The candidate scan is pure
-	// — eligibility, ClassAd matching, and ranking only read schedd and
-	// site state, and the per-node ad caches it refreshes partition by
-	// region — so the scan fans out over the eval pool, one chunk per
-	// region, and the serial reduction below replicates BestMatch's
-	// tie-break exactly. nil pool keeps the serial scan.
-	pool        *sim.EvalPool
-	regions     int
-	chunkStarts []int          // chunkStarts[r] = first list index of region r
-	chunkDirty  bool           // list changed since chunkStarts was built
-	chunkBest   []classad.Best // per-chunk scan results, reused
-
 	// MaxMatchesPerCycle bounds matchmaking work per negotiation cycle;
 	// excess idle jobs wait for the next cycle (0 = unlimited).
 	MaxMatchesPerCycle int
@@ -260,24 +244,9 @@ func (s *Schedd) AddResource(r *Resource) {
 	s.list = append(s.list, nil)
 	copy(s.list[i+1:], s.list[i:])
 	s.list[i] = r
-	s.chunkDirty = true
 	if r.full() {
 		s.fullCount++
 	}
-}
-
-// SetParallel arms region-sharded matchmaking: the candidate scan fans out
-// over the pool, one chunk per region (resources carry their Region, and
-// the sorted list keeps regions contiguous because dense site IDs follow
-// sorted-name order). A nil pool restores the serial scan. The outcome of
-// every pick is bit-identical either way; only the wall-clock cost changes.
-func (s *Schedd) SetParallel(pool *sim.EvalPool, regions int) {
-	if pool != nil && regions < 1 {
-		panic(fmt.Sprintf("condorg: parallel matchmaking with %d regions", regions))
-	}
-	s.pool = pool
-	s.regions = regions
-	s.chunkDirty = true
 }
 
 // Resource returns a registered resource.
@@ -463,9 +432,6 @@ func (s *Schedd) pickResource(j *GridJob, now time.Duration) *Resource {
 			}
 			return nil
 		}
-		if s.pool != nil {
-			return s.pickParallel(j, now, avoidFailed)
-		}
 		var b classad.Best
 		for i, r := range s.list {
 			if s.eligible(r, now) && !(avoidFailed && j.avoid[r]) {
@@ -486,84 +452,6 @@ func (s *Schedd) pickResource(j *GridJob, now time.Duration) *Resource {
 		}
 	}
 	return pick(false)
-}
-
-// evalSubChunks splits every region into this many evaluation sub-chunks.
-// The eval pool assigns chunks round-robin, so sub-chunking spreads each
-// region across all workers and a systematically expensive region (say, the
-// historical catalog sites, which support more VOs than the synthetic tail)
-// no longer pins one worker's critical path. Chunk boundaries still nest
-// inside region boundaries, so any state a scan refreshes per node (the CE
-// ad caches) stays confined to a single chunk.
-const evalSubChunks = 4
-
-// rebuildChunks recomputes the evaluation chunk offsets: region boundaries
-// first (resource regions are non-decreasing along the sorted list, because
-// dense IDs follow sorted-name order), then each region's span split into
-// evalSubChunks even index ranges. Chunk r*evalSubChunks+k is the k-th
-// slice of region r.
-func (s *Schedd) rebuildChunks() {
-	if !s.chunkDirty {
-		return
-	}
-	nchunks := s.regions * evalSubChunks
-	if cap(s.chunkStarts) < nchunks+1 {
-		s.chunkStarts = make([]int, nchunks+1)
-	}
-	s.chunkStarts = s.chunkStarts[:nchunks+1]
-	i := 0
-	for r := 0; r < s.regions; r++ {
-		for i < len(s.list) && s.list[i].Region < r {
-			i++
-		}
-		lo := i
-		hi := len(s.list)
-		for j := lo; j < len(s.list); j++ {
-			if s.list[j].Region > r {
-				hi = j
-				break
-			}
-		}
-		span := hi - lo
-		for k := 0; k < evalSubChunks; k++ {
-			s.chunkStarts[r*evalSubChunks+k] = lo + span*k/evalSubChunks
-		}
-		i = hi
-	}
-	s.chunkStarts[nchunks] = len(s.list)
-	s.chunkDirty = false
-}
-
-// pickParallel is the sharded matchmaking scan: each region chunk finds its
-// local best on an eval-pool worker, then the chunk results merge in
-// ascending region order with the same classad.Best comparison, which
-// preserves the serial scan's lowest-index tie-break — so for the non-NaN
-// ranks grid job ads produce, the sharded pick is bit-identical to the
-// serial one (see classad.Best.Merge).
-func (s *Schedd) pickParallel(j *GridJob, now time.Duration, avoidFailed bool) *Resource {
-	s.rebuildChunks()
-	n := s.regions * evalSubChunks
-	if cap(s.chunkBest) < n {
-		s.chunkBest = make([]classad.Best, n)
-	}
-	res := s.chunkBest[:n]
-	s.pool.Map(n, func(c int) {
-		var b classad.Best
-		for i := s.chunkStarts[c]; i < s.chunkStarts[c+1]; i++ {
-			if r := s.list[i]; s.eligible(r, now) && !(avoidFailed && j.avoid[r]) {
-				b.Offer(i, j.Ad, r.AdFunc())
-			}
-		}
-		res[c] = b
-	})
-	var best classad.Best
-	for _, b := range res {
-		best.Merge(b)
-	}
-	if best.Index() < 0 {
-		return nil
-	}
-	return s.list[best.Index()]
 }
 
 // Job returns a submitted job by schedd-side ID — the §8 troubleshooting

@@ -197,10 +197,6 @@ func (s *Scenario) Checkpoint() (*checkpoint.Snapshot, error) {
 // make the replay diverge from the checkpointed state, so such knobs are
 // deliberately absent here.
 type RestoreOverrides struct {
-	// Shards overrides the execution shard count (0 keeps the recorded
-	// value). Safe because sharding never changes event order — PR 7's
-	// byte-identical guarantee — so the replayed state is shard-independent.
-	Shards int
 	// Horizon, when beyond the recorded horizon, extends how far the
 	// restored run will continue. Construction and replay always use the
 	// recorded horizon (generator arming depends on it); the extension
@@ -235,7 +231,7 @@ type RestoreOverrides struct {
 // sim time (re-injecting journaled operations at their recorded instants),
 // and verify the state walk against the recorded digest. On any error —
 // wrong scope, corrupt config, replay divergence — the partially-built grid
-// is torn down and nil is returned: a restore never yields a scenario whose
+// is dropped and nil is returned: a restore never yields a scenario whose
 // state differs from the checkpoint.
 func RestoreScenario(snap *checkpoint.Snapshot, ov RestoreOverrides) (*Scenario, error) {
 	switch snap.Scope {
@@ -258,9 +254,6 @@ func RestoreScenario(snap *checkpoint.Snapshot, ov RestoreOverrides) (*Scenario,
 		return nil, fmt.Errorf("%w: snapshot time %v beyond recorded horizon %v",
 			checkpoint.ErrCorrupt, snap.SimTime, cfg.Horizon)
 	}
-	if ov.Shards != 0 {
-		cfg.Shards = ov.Shards
-	}
 	if ov.RealTimePace != 0 {
 		cfg.RealTimePace = ov.RealTimePace
 	}
@@ -275,14 +268,10 @@ func RestoreScenario(snap *checkpoint.Snapshot, ov RestoreOverrides) (*Scenario,
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Scenario, error) {
-		s.Grid.Close() // stop region workers; no partial state escapes
-		return nil, err
-	}
 	for i, op := range snap.Journal {
 		if op.T > snap.SimTime {
-			return fail(fmt.Errorf("%w: journal op %d at %v after snapshot time %v",
-				checkpoint.ErrCorrupt, i, op.T, snap.SimTime))
+			return nil, fmt.Errorf("%w: journal op %d at %v after snapshot time %v",
+				checkpoint.ErrCorrupt, i, op.T, snap.SimTime)
 		}
 		// Only advance when the op is ahead of the clock: RunUntil(t) fires
 		// events scheduled at exactly t, so re-invoking it between two ops
@@ -293,15 +282,15 @@ func RestoreScenario(snap *checkpoint.Snapshot, ov RestoreOverrides) (*Scenario,
 			s.Grid.Eng.RunUntil(op.T)
 		}
 		if err := ov.ReplayOp(s, op); err != nil {
-			return fail(fmt.Errorf("checkpoint: replay op %d (%s): %w", i, op.Kind, err))
+			return nil, fmt.Errorf("checkpoint: replay op %d (%s): %w", i, op.Kind, err)
 		}
 	}
 	if snap.SimTime > s.Grid.Eng.Now() {
 		s.Grid.Eng.RunUntil(snap.SimTime)
 	}
 	if got := s.StateDigest(ov.ExtraHash); got != snap.Digest {
-		return fail(fmt.Errorf("%w: walked %016x, snapshot records %016x",
-			checkpoint.ErrDigest, got, snap.Digest))
+		return nil, fmt.Errorf("%w: walked %016x, snapshot records %016x",
+			checkpoint.ErrDigest, got, snap.Digest)
 	}
 	if ov.Horizon > s.Cfg.Horizon {
 		s.Cfg.Horizon = ov.Horizon

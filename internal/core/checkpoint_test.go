@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,37 +86,6 @@ func TestCheckpointRestoreMatchesStraightRun(t *testing.T) {
 	}
 }
 
-// Restoring under a different shard count must land in the same state —
-// sharding parallelizes pure scans only.
-func TestRestoreShardOverrideIdentical(t *testing.T) {
-	store := checkpoint.NewMemStore()
-	cfg := quickCfg(5)
-	cfg.CheckpointAt = []time.Duration{2 * 24 * time.Hour}
-	cfg.CheckpointStore = store
-	s, err := NewScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDigest, wantSub, wantDone := finalDigest(t, s)
-
-	snap, _, err := checkpoint.Latest(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreScenario(snap, RestoreOverrides{Shards: 4})
-	if err != nil {
-		t.Fatalf("RestoreScenario(shards=4): %v", err)
-	}
-	if restored.Cfg.Shards != 4 {
-		t.Fatalf("Shards = %d", restored.Cfg.Shards)
-	}
-	gotDigest, gotSub, gotDone := finalDigest(t, restored)
-	if gotDigest != wantDigest || gotSub != wantSub || gotDone != wantDone {
-		t.Fatalf("sharded restore diverged: digest %016x/%016x submitted %d/%d completed %d/%d",
-			gotDigest, wantDigest, gotSub, wantSub, gotDone, wantDone)
-	}
-}
-
 // A snapshot whose digest does not match the replayed state must be
 // rejected — and the rejection must not leak a half-built scenario.
 func TestRestoreRejectsDigestMismatch(t *testing.T) {
@@ -154,6 +124,14 @@ func TestRestoreRejectsCorruptConfig(t *testing.T) {
 	if _, err := RestoreScenario(snap, RestoreOverrides{}); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("unknown config field: %v, want ErrCorrupt", err)
 	}
+	// Snapshots recorded while Config still had the parallel-matchmaking
+	// field carry it. The horizon covers SimTime, so only the retired field
+	// can trip this.
+	snap.Config = []byte(`{"config":{"Shards":4},"horizon":3600000000000}`)
+	if _, err := RestoreScenario(snap, RestoreOverrides{}); !errors.Is(err, checkpoint.ErrCorrupt) ||
+		!strings.Contains(err.Error(), `"Shards"`) {
+		t.Fatalf("retired config field: %v, want ErrCorrupt naming it", err)
+	}
 	snap.Config = []byte(`not json`)
 	if _, err := RestoreScenario(snap, RestoreOverrides{}); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("junk config: %v, want ErrCorrupt", err)
@@ -165,7 +143,6 @@ func TestRestoreRejectsWrongScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Grid.Close()
 	snap, err := s.Snapshot(checkpoint.ScopeServe, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +166,6 @@ func TestRestoreRejectsSinksWithoutObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Grid.Close()
 	snap, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +188,6 @@ func TestSnapshotConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Grid.Close()
 	snap, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)

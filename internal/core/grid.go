@@ -94,15 +94,6 @@ type Config struct {
 	// CleanupWatermark is the Free()/Capacity() fraction below which the
 	// cleanup sweep evicts (default 0.15).
 	CleanupWatermark float64
-	// Shards partitions the testbed into that many regions (contiguous
-	// bands of the dense site-ID space) and evaluates the per-region pure
-	// phases — the Condor-G candidate scans — on one worker goroutine per
-	// region. The engine's event order, and therefore every run's output,
-	// is bit-identical to the serial run at any shard count: regions only
-	// parallelize work whose inputs partition by region, and all mutation
-	// stays on the hub goroutine. 0 or 1 keeps the serial path with no
-	// worker goroutines at all.
-	Shards int
 	// IngestBatch, when positive, arms the per-VO Merkle usage ledger,
 	// sealed once per IngestWindow on a clock driven by station metric
 	// arrivals (see ingest.go). The value is not a batch size: every
@@ -136,9 +127,6 @@ func (c *Config) defaults() {
 	}
 	if c.CleanupWatermark <= 0 {
 		c.CleanupWatermark = 0.15
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	if c.IngestBatch > 0 && c.IngestWindow <= 0 {
 		c.IngestWindow = c.MonitorInterval
@@ -219,10 +207,6 @@ type Grid struct {
 	// sweeps exactly. nodeList[id] is the node whose Node.ID == id.
 	SiteIDs  *intern.Table
 	nodeList []*Node
-	// Regions partitions the dense ID space into Config.Shards contiguous
-	// regions; evalPool holds one worker per region (nil when serial).
-	Regions  intern.RegionIndex
-	evalPool *sim.EvalPool
 	Network  *gridftp.Network
 	RLI      *rls.RLI
 	TopGIIS  *mds.GIIS
@@ -394,14 +378,6 @@ func New(cfg Config) (*Grid, error) {
 		n.ID = intern.ID(i)
 		g.nodeList[i] = n
 	}
-	// Region partition over the frozen ID space. A pure function of
-	// (sites, shards): every component that needs a site's region derives
-	// it from the same index, so there is exactly one notion of "region".
-	g.Regions = intern.Regions(len(g.Order), cfg.Shards)
-	if g.Regions.Shards() > 1 {
-		g.evalPool = sim.NewEvalPool(g.Regions.Shards())
-	}
-
 	// --- Health monitor: one breaker per (site, service), probing the same
 	// three services the Site Status Catalog checks. Built before the
 	// schedds so matchmaking can consult it.
@@ -454,7 +430,7 @@ func New(cfg Config) (*Grid, error) {
 			}
 			sch.AvoidFailedSites = true
 		}
-		// Each schedd only ever sees the VO-authorized shard of the grid:
+		// Each schedd only ever sees the sites that authorize its VO:
 		// AddResource in sorted-site order so candidate scans reproduce the
 		// historical iteration exactly.
 		for _, n := range g.nodeList {
@@ -465,7 +441,6 @@ func New(cfg Config) (*Grid, error) {
 			res := &condorg.Resource{
 				Name:         n.Spec.Name,
 				Gatekeeper:   n.Gatekeeper,
-				Region:       g.Regions.Of(n.ID),
 				MaxSubmitted: 2 * n.Batch.Slots(),
 				AdFunc:       func() *classad.Ad { return g.ceAd(node) },
 			}
@@ -476,9 +451,6 @@ func New(cfg Config) (*Grid, error) {
 				res.Excluded = func() bool { return !h.Allow(health.GRAM) }
 			}
 			sch.AddResource(res)
-		}
-		if g.evalPool != nil {
-			sch.SetParallel(g.evalPool, g.Regions.Shards())
 		}
 		g.Schedds[voName] = sch
 		g.stats[voName] = &VOStats{}
@@ -971,15 +943,10 @@ func (g *Grid) Stats(voName string) *VOStats {
 // jobs (the §7 peak-concurrent-jobs milestone).
 func (g *Grid) PeakRunning() int { return g.peakRunning }
 
-// ShardStats returns the work/critical-path accounting accumulated by the
-// region eval pool (zero when the grid runs serial). Speedup() on the
-// result is the run's achieved work-parallelism.
-func (g *Grid) ShardStats() sim.ShardStats { return g.evalPool.Stats() }
-
-// Close stops the region worker goroutines. The grid keeps simulating
-// correctly afterwards — a closed pool degrades every parallel scan to the
-// serial path — so Close is safe to call before a final drain.
-func (g *Grid) Close() { g.evalPool.Close() }
+// Close is a no-op: a grid starts no goroutines and holds nothing beyond
+// its heap. It is kept for callers outside this module, such as the
+// benchmark, that release the grids they discard with it.
+func (g *Grid) Close() {}
 
 // MeanOnlineCPUs returns the time-averaged in-service slot count — the
 // "typical" CPU figure beside the catalog peak.

@@ -58,7 +58,6 @@ func TestIncrementalGridmapsMatchFullRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Grid.Close()
 			g := s.Grid
 			vos := g.Registry.VOs()
 			partial := false
@@ -168,7 +167,6 @@ func TestEnrollmentCostIndependentOfMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	srv, err := g.Registry.Server(vo.USATLAS)
 	if err != nil {
 		t.Fatal(err)

@@ -198,7 +198,6 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if cfg.CertWave.Enabled() {
 		certs, err := armCertWave(g, cfg.CertWave)
 		if err != nil {
-			g.Close()
 			return nil, err
 		}
 		s.Certs = certs
@@ -255,10 +254,6 @@ func (s *Scenario) Finish() {
 	s.Grid.ACDC.Pull()
 	s.Grid.FinishIngest()
 	s.FlushObservability()
-	// Stop the region workers. Anything that keeps simulating after Finish
-	// (serve mode's drain, late inspection) falls back to the serial scan,
-	// which produces the same events.
-	s.Grid.Close()
 }
 
 // FlushObservability runs every configured trace and metrics sink against

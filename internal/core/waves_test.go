@@ -43,7 +43,6 @@ func TestWavesOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Grid.Close()
 	if s.Upgrade != nil || s.Certs != nil {
 		t.Fatal("wave families armed without configuration")
 	}

@@ -27,7 +27,6 @@ var wallClockKeys = map[string]bool{
 	"workers":            true,
 	"speedup_est":        true,
 	"summed_run_seconds": true,
-	"parallel_speedup":   true,
 }
 
 // Normalize rewrites a report JSON with every wall-clock field zeroed and

@@ -113,9 +113,6 @@ type Knobs struct {
 	TestbedSites int `json:"testbed_sites,omitempty"`
 	// Doors bounds concurrent GridFTP flows per endpoint (data mode).
 	Doors int `json:"doors,omitempty"`
-	// Shards partitions the testbed for parallel matchmaking; in scale
-	// mode every point is then measured serial AND sharded.
-	Shards int `json:"shards,omitempty"`
 	// Watermark is the managed data plane's cleanup threshold.
 	Watermark float64 `json:"watermark,omitempty"`
 	// Events is the ingest sweep's synthetic stream length.

@@ -73,6 +73,10 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown knob",
 			`{"schema": "grid3.exp/1", "experiments": [{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"dayz": 3}}]}`,
 			`unknown field "dayz"`},
+		{"retired parallel-matchmaking knob",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "scale", "out": "a.json", "knobs": {"shards": 4}}]}`,
+			`unknown field "shards"`},
 		{"no experiments",
 			`{"schema": "grid3.exp/1", "experiments": []}`,
 			"names no experiments"},

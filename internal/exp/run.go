@@ -108,7 +108,6 @@ func (k Knobs) base() core.ScenarioConfig {
 		Config: core.Config{
 			TestbedSites:   k.TestbedSites,
 			TransferDoors:  k.Doors,
-			Shards:         k.Shards,
 			EnableHealth:   k.Health,
 			EnableRecovery: k.Recovery,
 		},

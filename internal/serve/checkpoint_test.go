@@ -140,8 +140,6 @@ func TestServeRestoreReplaysGridmapGrants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	defer s2.scen.Grid.Close()
-	defer s1.scen.Grid.Close()
 
 	render := func(write func(*bytes.Buffer)) string {
 		var buf bytes.Buffer
@@ -176,7 +174,6 @@ func TestServeRestoreFromBatchSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen.Grid.Close()
 
 	s, err := New(Config{Restore: snap})
 	if err != nil {
@@ -229,7 +226,6 @@ func TestServeRestoreRejectsTamperedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.scen.Grid.Close()
 
 	bogus := *snap
 	bogus.Journal = append([]checkpoint.Op(nil), snap.Journal...)
@@ -273,7 +269,6 @@ func TestServeSnapshotEncodesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.scen.Grid.Close()
 
 	decoded, err := checkpoint.Decode(checkpoint.Encode(snap))
 	if err != nil {
@@ -288,9 +283,7 @@ func TestServeSnapshotEncodesJournal(t *testing.T) {
 			t.Fatalf("journal op %d changed: %+v vs %+v", i, a, b)
 		}
 	}
-	s2, err := New(Config{Restore: decoded})
-	if err != nil {
+	if _, err := New(Config{Restore: decoded}); err != nil {
 		t.Fatalf("restore from decoded snapshot: %v", err)
 	}
-	s2.scen.Grid.Close()
 }

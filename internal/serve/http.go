@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -248,6 +249,12 @@ type submitRequest struct {
 	Preferred       string  `json:"preferred_site"`
 }
 
+// maxJobSeconds bounds runtime_seconds and walltime_seconds at half the
+// time.Duration range (about 146 years), so the converted duration, the
+// default walltime of runtime plus an hour, and the job's finish instant on
+// the sim clock cannot wrap negative.
+const maxJobSeconds = math.MaxInt64 / 2 / float64(time.Second)
+
 type jobJSON struct {
 	ID          string `json:"id"`
 	VO          string `json:"vo"`
@@ -286,6 +293,14 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.RuntimeSeconds <= 0 {
 		writeJSON(w, http.StatusBadRequest, errDTO("runtime_seconds must be positive"))
+		return
+	}
+	if req.RuntimeSeconds > maxJobSeconds {
+		writeJSON(w, http.StatusBadRequest, errDTO(fmt.Sprintf("runtime_seconds must be at most %.0f", maxJobSeconds)))
+		return
+	}
+	if req.WalltimeSeconds > maxJobSeconds {
+		writeJSON(w, http.StatusBadRequest, errDTO(fmt.Sprintf("walltime_seconds must be at most %.0f", maxJobSeconds)))
 		return
 	}
 	var rec JobRecord

@@ -155,6 +155,21 @@ func TestHandlerSubmitAndJobStatus(t *testing.T) {
 	postJSON(t, ts.URL+"/api/v1/jobs", map[string]any{"vo": "usatlas"}, http.StatusBadRequest)                                             // no user
 	postJSON(t, ts.URL+"/api/v1/jobs", map[string]any{"vo": "usatlas", "user": "a"}, http.StatusBadRequest)                                // no runtime
 	postJSON(t, ts.URL+"/api/v1/jobs", map[string]any{"vo": "nosuch", "user": "a", "runtime_seconds": 60}, http.StatusUnprocessableEntity) // unknown VO fails synchronously
+	// Durations past time.Duration's range would wrap negative; each is
+	// refused up front, naming its field.
+	for _, c := range []struct {
+		field string
+		body  map[string]any
+	}{
+		{"runtime_seconds", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 1e12}},
+		{"runtime_seconds", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 9.3e9}},
+		{"walltime_seconds", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 60, "walltime_seconds": 1e12}},
+	} {
+		out := postJSON(t, ts.URL+"/api/v1/jobs", c.body, http.StatusBadRequest)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, c.field) {
+			t.Errorf("submit %v: error %q does not name %s", c.body, msg, c.field)
+		}
+	}
 }
 
 func TestHandlerJobsSummary(t *testing.T) {

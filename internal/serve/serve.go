@@ -80,8 +80,8 @@ type Config struct {
 	// batch-scope snapshots warm-start with an empty one.
 	Restore *checkpoint.Snapshot
 	// RestoreOverrides whitelists what may change when booting from
-	// Restore (shard count, extended horizon, fresh sinks, re-armed
-	// checkpointing, pace). Its ReplayOp and ExtraHash hooks are owned by
+	// Restore (extended horizon, fresh sinks, re-armed checkpointing,
+	// pace). Its ReplayOp and ExtraHash hooks are owned by
 	// the serve layer and overwritten here.
 	RestoreOverrides core.RestoreOverrides
 }

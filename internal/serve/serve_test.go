@@ -186,35 +186,3 @@ func TestServiceSetPace(t *testing.T) {
 		t.Fatalf("pace after SetPace = %v, want 60", got)
 	}
 }
-
-func TestServiceShardedStepMatchesSerial(t *testing.T) {
-	// Sharding must be invisible at the ingress boundary too: the same
-	// manual wall schedule drives a serial and a 4-shard service to the
-	// same event count and sim clock. The eval workers live below the
-	// engine goroutine, so single-goroutine ingress is preserved.
-	run := func(shards int) (uint64, time.Duration) {
-		cfg := testConfig()
-		cfg.Scenario.Config.TestbedSites = 20
-		cfg.Scenario.Config.Shards = shards
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wall0 := time.Unix(0, 0)
-		s.Step(wall0)
-		for i := 1; i <= 10; i++ {
-			s.Step(wall0.Add(time.Duration(i) * time.Second))
-		}
-		eng := s.Scenario().Grid.Eng
-		return eng.Processed(), eng.Now()
-	}
-	serialEv, serialNow := run(0)
-	shardEv, shardNow := run(4)
-	if serialEv != shardEv || serialNow != shardNow {
-		t.Fatalf("sharded serve diverged: serial (%d, %v) vs 4 shards (%d, %v)",
-			serialEv, serialNow, shardEv, shardNow)
-	}
-	if serialEv == 0 {
-		t.Fatal("no events processed")
-	}
-}

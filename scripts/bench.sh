@@ -1,9 +1,8 @@
 #!/bin/sh
 # Regenerate BENCH_sim.json: the engine hot-path and campaign-runner
 # numbers this repo tracks across PRs (ns/op + allocs/op for the event
-# engine vs its container/heap baseline, scenario-day throughput, the
-# parallel sweep's speedup with its bit-identical-output check, and
-# parallel matchmaking's work-parallelism on a 1000-site day at -shards 4).
+# engine vs its container/heap baseline, scenario-day throughput, and the
+# parallel sweep's speedup with its bit-identical-output check).
 #
 # Runs from any directory: ./scripts/bench.sh
 # Paper-exhibit benches (figures/tables) are separate:
@@ -18,7 +17,7 @@ trap 'rm -f "$RAW"' EXIT
 # No tee: piping the test run would hide its exit status under set -e
 # (dash has no pipefail), so capture to the temp file and replay it.
 go test -run '^$' \
-    -bench 'BenchmarkEngineStep$|BenchmarkEngineStepHeapBaseline|BenchmarkEngineCancel|BenchmarkScenarioDay|BenchmarkSweep|BenchmarkShardedDay' \
+    -bench 'BenchmarkEngineStep$|BenchmarkEngineStepHeapBaseline|BenchmarkEngineCancel|BenchmarkScenarioDay|BenchmarkSweep' \
     -benchmem -benchtime 2s . > "$RAW" 2>&1 || { cat "$RAW"; exit 1; }
 cat "$RAW"
 
@@ -44,7 +43,6 @@ fi
                 if ($(i+1) == "allocs/op") allocs = $i
                 if ($(i+1) == "parallel-speedup") extra = extra sprintf(", \"parallel_speedup\": %s", $i)
                 if ($(i+1) == "workers")   extra = extra sprintf(", \"workers\": %s", $i)
-                if ($(i+1) == "shards")    extra = extra sprintf(", \"shards\": %s", $i)
             }
             if (n++) printf ",\n"
             printf "    {\"name\": \"%s\", \"iterations\": %s", name, $2

@@ -13,10 +13,9 @@
 #   2. fault-management loop armed (-health -recovery)
 #   3. scaled 300-site testbed
 #   4. managed data plane (-srm -doors -cleanup -replica-rank)
-#   5. parallel matchmaking (-shards 4) matches the serial run
-#   6. checkpoint/restore matches straight-through, corrupt snapshots
+#   5. checkpoint/restore matches straight-through, corrupt snapshots
 #      are refused
-#   7. arming the usage ledger (-ingest-batch) leaves the output unchanged
+#   6. arming the usage ledger (-ingest-batch) leaves the output unchanged
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -53,23 +52,16 @@ echo '== determinism: managed data plane'
 "$SIM" -days 10 -scale 0.1 -seed 7 -srm -doors 4 -cleanup -replica-rank > "$WORK/run-h.txt"
 same "$WORK/run-g.txt" "$WORK/run-h.txt"
 
-echo '== determinism: parallel matchmaking matches serial'
-"$SIM" -days 20 -scale 0.1 -seed 7 > "$WORK/run-serial.txt"
-"$SIM" -days 20 -scale 0.1 -seed 7 -shards 4 > "$WORK/run-sharded.txt"
-same "$WORK/run-serial.txt" "$WORK/run-sharded.txt"
-
 echo '== determinism: checkpoint/restore matches straight-through'
 "$SIM" -days 20 -scale 0.1 -seed 7 > "$WORK/run-straight.txt"
 # Capturing a snapshot mid-run is a pure read: the checkpointing run's
 # own output must already match the straight run.
 "$SIM" -days 20 -scale 0.1 -seed 7 -checkpoint-at 240h -checkpoint-out "$WORK/snap.g3" > "$WORK/run-ckpt.txt"
 same "$WORK/run-straight.txt" "$WORK/run-ckpt.txt"
-# Restoring replays the recorded history and continues; serial and
-# sharded restores both land on the straight run's bytes.
+# Restoring replays the recorded history and continues to the straight
+# run's bytes.
 "$SIM" -restore "$WORK/snap.g3" > "$WORK/run-restored.txt"
 same "$WORK/run-straight.txt" "$WORK/run-restored.txt"
-"$SIM" -restore "$WORK/snap.g3" -shards 4 > "$WORK/run-restored-sharded.txt"
-same "$WORK/run-straight.txt" "$WORK/run-restored-sharded.txt"
 # A flipped byte anywhere in the snapshot must refuse to load.
 dd if=/dev/zero of="$WORK/snap.g3" bs=1 count=1 seek=100 conv=notrunc 2>/dev/null
 if "$SIM" -restore "$WORK/snap.g3" > /dev/null 2> "$WORK/corrupt.err"; then

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Full verification gate: build, vet, formatting, the complete test suite,
 # and the race detector over the concurrency surfaces (the campaigns'
-# shared fan-out, the shared metrics registry, the health monitor,
-# parallel matchmaking's eval pool, the serve ingress boundary, the
-# checkpoint store and its concurrent warm-start consumers, and the usage
-# ledger the serve audit routes read).
+# shared fan-out, the shared metrics registry, the health monitor, the
+# serve ingress boundary, the checkpoint store and its concurrent
+# warm-start consumers, and the usage ledger the serve audit routes read).
+# The engine and Condor-G packages start no goroutines; they stay in the
+# race run so that any concurrency added there is raced from the start.
 #
 # CI runs this exact script (.github/workflows/ci.yml), so the local gate
 # and the hosted one cannot drift. Runs from any directory:
