@@ -53,6 +53,14 @@
 //
 //	grid3sim -restore snap.g3 -warm-seeds 0,101,102,103 [-json-out warm.json]
 //
+// Profiling: -cpuprofile writes a CPU profile of a single run (set-up
+// included) and -memprofile writes the allocs profile once the run has
+// finished, after a collection, so in-use space shows what the finished
+// run still holds. Neither changes the printed output:
+//
+//	grid3sim -sites 1000 -days 1 -quiet -memprofile mem.prof
+//	go tool pprof -sample_index=inuse_space -top mem.prof
+//
 // Every mode writes its report JSON through the one -json-out flag; the
 // report schema follows the mode (seed sweep, warm start, or the
 // single-run bench record).
@@ -70,6 +78,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -112,6 +121,8 @@ func main() {
 	checkpointOut := flag.String("checkpoint-out", "", "snapshot file receiving -checkpoint-at captures (the file holds the latest capture)")
 	restorePath := flag.String("restore", "", "restore the run from this snapshot file (verified deterministic replay) and continue")
 	warmSeeds := flag.String("warm-seeds", "", "comma-separated forward failure seeds: fork the -restore snapshot into one variant per seed (0 = replay the recorded stream)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write the allocs profile at the end of the run to this file (in-use space shows what the finished run holds)")
 	flag.Parse()
 	daysSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -166,6 +177,11 @@ func main() {
 		}
 		cfg.CheckpointAt = at
 		cfg.CheckpointStore = checkpoint.NewFileStore(*checkpointOut)
+	}
+
+	if (*cpuProfile != "" || *memProfile != "") && (*seedList != "" || *warmSeeds != "") {
+		fmt.Fprintln(os.Stderr, "grid3sim: -cpuprofile/-memprofile apply to single runs only")
+		os.Exit(2)
 	}
 
 	if *warmSeeds != "" {
@@ -226,6 +242,16 @@ func main() {
 		})
 	}
 
+	var stopCPUProfile func() error
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "grid3sim:", err)
+			os.Exit(1)
+		}
+		stopCPUProfile = stop
+	}
+
 	start := time.Now()
 	var s *core.Scenario
 	var err error
@@ -267,6 +293,18 @@ func main() {
 		os.Exit(1)
 	}
 	elapsed := time.Since(start)
+	if stopCPUProfile != nil {
+		if err := stopCPUProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "grid3sim: writing CPU profile:", err)
+			os.Exit(1)
+		}
+	}
+	if *memProfile != "" {
+		if err := writeMemProfile(*memProfile); err != nil {
+			fmt.Fprintln(os.Stderr, "grid3sim: writing memory profile:", err)
+			os.Exit(1)
+		}
+	}
 	if n := len(s.CheckpointIDs); n > 0 {
 		// stderr for the same reason as the restore banner above.
 		fmt.Fprintf(os.Stderr, "grid3sim: %d snapshot(s) written to %s (latest %s)\n",
@@ -388,6 +426,40 @@ func main() {
 		fmt.Fprintf(w, "Cert storms: %d expiries, %d renewals, %d revocations\n",
 			cw.Expiries, cw.Renewals, cw.Revocations)
 	}
+}
+
+// startCPUProfile starts CPU profiling into path; the returned function
+// stops it and closes the file.
+func startCPUProfile(path string) (func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeMemProfile writes the allocs profile to path. It collects first:
+// a profile's in-use figures are those of the last completed GC cycle,
+// and the caller still holds the finished scenario, so after this one
+// they show what the run retains at its end.
+func writeMemProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeCSVs exports the MDViewer-style parametric plots for offline

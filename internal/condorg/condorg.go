@@ -124,7 +124,10 @@ func (r *Resource) full() bool {
 	return r.MaxSubmitted > 0 && r.inFlight >= r.MaxSubmitted
 }
 
-// GridJob is one queued grid job.
+// GridJob is one queued grid job. Once it is terminal (Completed or Held)
+// and OnDone has run, the schedd sets Ad, OnStart and OnDone to nil: a
+// finished job keeps only its record (ID, Spec, TargetSite, State, Site,
+// Contact, Attempts, LastErr), which is what Job and HashState read.
 type GridJob struct {
 	ID   string
 	Ad   *classad.Ad
@@ -476,9 +479,7 @@ func (s *Schedd) launch(j *GridJob, r *Resource) error {
 			if in := s.Ins; in != nil {
 				in.Completed.Inc()
 			}
-			if j.OnDone != nil {
-				j.OnDone(j, nil)
-			}
+			j.retire(nil)
 		case gram.StateFailed:
 			s.dropInFlight(r)
 			s.remoteFailure(j, r, fmt.Errorf("condorg: remote failure at %s: %s", r.Name, gj.FailureReason))
@@ -575,7 +576,15 @@ func (s *Schedd) remoteFailure(j *GridJob, r *Resource, err error) {
 		s.Ins.tracer().Fail(j.matchSpan, "held: retries exhausted")
 		j.matchSpan = 0
 	}
+	j.retire(fmt.Errorf("%w: %v", ErrExhausted, err))
+}
+
+// retire fires OnDone for a job that just reached a terminal state, then
+// drops the ad and callbacks only a live job uses, so the closures and
+// everything they capture do not live as long as the job's record.
+func (j *GridJob) retire(err error) {
 	if j.OnDone != nil {
-		j.OnDone(j, fmt.Errorf("%w: %v", ErrExhausted, err))
+		j.OnDone(j, err)
 	}
+	j.Ad, j.OnStart, j.OnDone = nil, nil, nil
 }

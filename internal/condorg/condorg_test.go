@@ -274,6 +274,47 @@ func TestOnStartFires(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsKeepOnlyTheirRecord: once a job completes or is held,
+// OnDone has fired exactly once and the schedd has dropped the job's ad and
+// callbacks, while Job still reports its state, site, contact and attempts.
+func TestTerminalJobsKeepOnlyTheirRecord(t *testing.T) {
+	r := newRig(t)
+	ok := gridJob("ok", time.Hour)
+	held := gridJob("held", 4*time.Hour)
+	held.Spec.Walltime = time.Hour // walltime-killed remotely on every attempt
+	held.MaxRetries = 1
+	dones := map[string]int{}
+	for _, j := range []*GridJob{ok, held} {
+		j.OnStart = func(*GridJob) {}
+		j.OnDone = func(g *GridJob, _ error) { dones[g.ID]++ }
+		if err := r.schedd.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.eng.RunUntil(24 * time.Hour)
+	for _, c := range []struct {
+		id       string
+		state    JobState
+		attempts int
+	}{{"ok", Completed, 1}, {"held", Held, 2}} {
+		j, found := r.schedd.Job(c.id)
+		if !found {
+			t.Fatalf("%s: Job lookup failed", c.id)
+		}
+		if dones[c.id] != 1 {
+			t.Errorf("%s: OnDone fired %d times, want 1", c.id, dones[c.id])
+		}
+		if j.Ad != nil || j.OnStart != nil || j.OnDone != nil {
+			t.Errorf("%s: terminal job keeps ad %v, OnStart set %v, OnDone set %v",
+				c.id, j.Ad != nil, j.OnStart != nil, j.OnDone != nil)
+		}
+		if j.State != c.state || j.Attempts != c.attempts || j.Site == "" || j.Contact == "" {
+			t.Errorf("%s: record = state %v attempts %d site %q contact %q, want %v after %d attempts",
+				c.id, j.State, j.Attempts, j.Site, j.Contact, c.state, c.attempts)
+		}
+	}
+}
+
 func TestMaxMatchesPerCycle(t *testing.T) {
 	r := newRig(t)
 	r.schedd.MaxMatchesPerCycle = 3

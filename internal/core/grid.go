@@ -267,6 +267,9 @@ type Grid struct {
 	// per submission is the kind of linear cost that only shows up at
 	// 1000-site scale.
 	maxWallByVO map[string]time.Duration
+	// executableByVO caches executableFor: each VO's jobs share one
+	// application path string instead of every job record holding a copy.
+	executableByVO map[string]string
 
 	// Concurrency sampling for the §7 peak-jobs and utilization metrics.
 	peakRunning    int
@@ -1079,7 +1082,7 @@ func (g *Grid) SubmitJobFunc(req apps.Request, onDone func(error)) {
 		Spec: gram.Spec{
 			Subject:       req.User,
 			VO:            req.VO,
-			Executable:    "/share/app/" + req.VO + "/run",
+			Executable:    g.executableFor(req.VO),
 			Walltime:      req.Walltime,
 			Runtime:       req.Runtime,
 			Priority:      req.Priority,
@@ -1148,6 +1151,20 @@ func (g *Grid) maxWallFor(voName string) time.Duration {
 	}
 	g.maxWallByVO[voName] = max
 	return max
+}
+
+// executableFor returns the path of the VO's application, built once per
+// VO.
+func (g *Grid) executableFor(voName string) string {
+	if p, ok := g.executableByVO[voName]; ok {
+		return p
+	}
+	if g.executableByVO == nil {
+		g.executableByVO = make(map[string]string)
+	}
+	p := "/share/app/" + voName + "/run"
+	g.executableByVO[voName] = p
+	return p
 }
 
 // SRM lifecycle pacing (EnableStorageCleanup only): the cleanup sweep runs

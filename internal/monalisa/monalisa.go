@@ -158,9 +158,11 @@ func (r *Repository) Ingest(m Metric) {
 		r.series[key] = db
 	}
 	// Late-arriving samples from a slow station are dropped rather than
-	// corrupting the ring (RRD semantics).
-	_ = db.Update(m.Time, m.Value)
-	r.last[key] = m
+	// corrupting the ring (RRD semantics), and do not become the series'
+	// latest sample either; live subscribers still see them.
+	if db.Update(m.Time, m.Value) == nil {
+		r.last[key] = m
+	}
 	for _, sub := range r.subs {
 		if sub.pred == nil || sub.pred(m) {
 			sub.fn(m)

@@ -117,6 +117,36 @@ func TestFarmTotal(t *testing.T) {
 	}
 }
 
+// TestLateSampleKeepsLatest: a sample older than its series' last update
+// is refused by the ring, so it must not replace the latest value that
+// Last and FarmTotal report, though live subscribers still receive it.
+func TestLateSampleKeepsLatest(t *testing.T) {
+	eng := sim.NewEngine(sim.Grid3Epoch)
+	repo := NewRepository(eng)
+	var delivered int
+	repo.Subscribe(nil, func(Metric) { delivered++ })
+	latest := Metric{Farm: "p", Param: "jobs", Time: 10 * time.Minute, Value: 5}
+	repo.Ingest(latest)
+	repo.Ingest(Metric{Farm: "p", Param: "jobs", Time: 5 * time.Minute, Value: 1})
+	if got, ok := repo.Last("p", "jobs"); !ok || got != latest {
+		t.Fatalf("Last = %+v, %v; want %+v", got, ok, latest)
+	}
+	if got := repo.FarmTotal("jobs"); got != 5 {
+		t.Fatalf("FarmTotal = %v, want 5", got)
+	}
+	eng.RunUntil(15 * time.Minute)
+	pts, err := repo.History("p", "jobs", 0, 0, 15*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(pts); n == 0 || pts[n-1].Value != 5 {
+		t.Fatalf("history = %v, want it to end at 5", pts)
+	}
+	if delivered != 2 {
+		t.Fatalf("subscribers saw %d samples, want 2", delivered)
+	}
+}
+
 func TestStationStop(t *testing.T) {
 	eng := sim.NewEngine(sim.Grid3Epoch)
 	st := NewStation(eng, "farm", time.Minute)

@@ -1,9 +1,13 @@
-// Package rrd implements a round-robin database: fixed-size time-series
+// Package rrd implements a round-robin database: bounded time-series
 // storage with per-archive consolidation, the store behind the MonALISA
 // central repository (§5.2: "storing it in a round robin-like database").
 //
 // A database owns one or more archives, each consolidating raw updates into
 // buckets of a fixed step and keeping the most recent N rows in a ring.
+// Unlike RRDtool, which preallocates every ring because it writes
+// fixed-size files, a ring here holds only the rows filled so far: it grows
+// as buckets close, up to N rows, and then wraps, so a short run pays for
+// the history it recorded rather than for the history it could record.
 // Typical Grid3 configuration: a 5-minute/24-hour archive for dashboards
 // and a 1-hour/6-month archive for the retrospective usage plots
 // (Figures 2-6 are all derived from such archives).
@@ -64,12 +68,15 @@ type Point struct {
 // archive is the ring state for one ArchiveSpec.
 type archive struct {
 	spec ArchiveSpec
-	ring []float64 // NaN = unknown
-	// head indexes the bucket that ends at headEnd (the most recently
-	// completed bucket).
+	// ring holds the filled rows (NaN = unknown). It grows by one row per
+	// closed bucket until it holds spec.Rows, then wraps; while it grows,
+	// head == len(ring), so the index arithmetic of a full ring reads it
+	// unchanged.
+	ring []float64
+	// head indexes the slot the next closed bucket fills; the bucket that
+	// ends at headEnd (the most recently completed one) sits just before it.
 	head    int
 	headEnd time.Duration
-	filled  int
 
 	// accumulator for the in-progress bucket [headEnd, headEnd+step).
 	accSum   float64
@@ -85,7 +92,8 @@ type Database struct {
 	lastT    time.Duration
 }
 
-// New creates a database with the given archives.
+// New creates a database with the given archives. No ring is allocated
+// until its first bucket closes.
 func New(specs ...ArchiveSpec) (*Database, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("%w: no archives", ErrBadArchive)
@@ -95,11 +103,7 @@ func New(specs ...ArchiveSpec) (*Database, error) {
 		if s.Step <= 0 || s.Rows <= 0 {
 			return nil, fmt.Errorf("%w: step %v rows %d", ErrBadArchive, s.Step, s.Rows)
 		}
-		ring := make([]float64, s.Rows)
-		for i := range ring {
-			ring[i] = math.NaN()
-		}
-		db.archives = append(db.archives, &archive{spec: s, ring: ring})
+		db.archives = append(db.archives, &archive{spec: s})
 	}
 	return db, nil
 }
@@ -170,12 +174,20 @@ func (a *archive) flush() {
 			v = a.accSum
 		}
 	}
-	a.ring[a.head] = v
+	if len(a.ring) < a.spec.Rows {
+		if len(a.ring) == cap(a.ring) {
+			// Grow geometrically but never past Rows: append's own growth
+			// would overshoot (4800 rows would get a 6144-row array).
+			grown := make([]float64, len(a.ring), min(max(2*cap(a.ring), 16), a.spec.Rows))
+			copy(grown, a.ring)
+			a.ring = grown
+		}
+		a.ring = append(a.ring, v)
+	} else {
+		a.ring[a.head] = v
+	}
 	a.head = (a.head + 1) % a.spec.Rows
 	a.headEnd += a.spec.Step
-	if a.filled < a.spec.Rows {
-		a.filled++
-	}
 	a.accCount = 0
 }
 
@@ -204,8 +216,8 @@ func (db *Database) Fetch(idx int, from, to time.Duration) ([]Point, error) {
 	}
 	a := db.archives[idx]
 	var out []Point
-	// Oldest available bucket ends at headEnd - filled*step + step.
-	for i := a.filled; i >= 1; i-- {
+	// Oldest available bucket ends at headEnd - len(ring)*step + step.
+	for i := len(a.ring); i >= 1; i-- {
 		end := a.headEnd - time.Duration(i-1)*a.spec.Step
 		if end <= from || end > to {
 			continue
@@ -220,7 +232,7 @@ func (db *Database) Fetch(idx int, from, to time.Duration) ([]Point, error) {
 // or NaN when nothing has been consolidated yet.
 func (db *Database) LastValue(idx int) float64 {
 	a := db.archives[idx]
-	if a.filled == 0 {
+	if len(a.ring) == 0 {
 		return math.NaN()
 	}
 	pos := (a.head - 1 + a.spec.Rows) % a.spec.Rows

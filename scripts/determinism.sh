@@ -9,7 +9,9 @@
 # ./scripts/determinism.sh
 #
 # Legs:
-#   1. default configuration, two identical invocations
+#   1. default configuration, two identical invocations; the second also
+#      writes CPU and memory profiles, which must leave its output alone
+#      and which go tool pprof must read
 #   2. fault-management loop armed (-health -recovery)
 #   3. scaled 300-site testbed
 #   4. managed data plane (-srm -doors -cleanup -replica-rank)
@@ -34,8 +36,10 @@ same() {
 
 echo '== determinism: default configuration'
 "$SIM" -days 20 -scale 0.1 -seed 7 > "$WORK/run-a.txt"
-"$SIM" -days 20 -scale 0.1 -seed 7 > "$WORK/run-b.txt"
+"$SIM" -days 20 -scale 0.1 -seed 7 -cpuprofile "$WORK/cpu.prof" -memprofile "$WORK/mem.prof" > "$WORK/run-b.txt"
 same "$WORK/run-a.txt" "$WORK/run-b.txt"
+go tool pprof -top "$SIM" "$WORK/cpu.prof" > /dev/null
+go tool pprof -top -sample_index=inuse_space "$SIM" "$WORK/mem.prof" > /dev/null
 
 echo '== determinism: fault-management loop armed'
 "$SIM" -days 20 -scale 0.1 -seed 7 -health -recovery > "$WORK/run-c.txt"
