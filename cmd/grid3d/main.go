@@ -10,7 +10,7 @@
 //
 // Endpoints (all JSON; see the README endpoint table):
 //
-//	GET  /healthz                      liveness (never blocks on the sim loop)
+//	GET  /healthz                      liveness (never waits for the engine)
 //	GET  /api/v1/status                clocks, pace, lag, counters
 //	GET  /api/v1/vo                    VOs and member counts
 //	GET  /api/v1/vo/{vo}/members       VOMS membership list
@@ -33,8 +33,8 @@
 // queries. -json-out writes a final status record ("grid3.serve-status/1")
 // on clean shutdown, following the grid3sim -json-out convention.
 //
-// SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
-// mailbox drains, and the scenario runs its end-of-run bookkeeping.
+// SIGINT/SIGTERM shut down gracefully: in-flight requests finish, and the
+// scenario runs its end-of-run bookkeeping.
 //
 // -checkpoint-dir makes the daemon crash-recoverable: on boot it restores
 // the newest decodable snapshot in the directory (logging the snapshot ID
@@ -81,7 +81,7 @@ func main() {
 	replicaRank := flag.Bool("replica-rank", false, "rank Pegasus stage-in replicas by live WAN load")
 	ingestBatch := flag.Int("ingest-batch", 0, "N > 0 arms the per-VO Merkle usage ledger served at /api/v1/audit/* (not a batch size: every N > 0 is the same)")
 	ingestWindow := flag.Duration("ingest-window", 0, "usage-ledger window (0 = the monitor interval; needs -ingest-batch)")
-	maxPending := flag.Int("max-pending", 0, "ingress mailbox depth before shedding (0 = the serve default, 4096)")
+	maxPending := flag.Int("max-pending", 0, "requests that may wait for the engine before shedding (0 = the serve default, 4096)")
 	configPath := flag.String("config", "", "JSON config file; SIGHUP or POST /api/v1/config/reload re-applies the dynamic fields")
 	jsonOut := flag.String("json-out", "", "write the final status record JSON to this file on shutdown")
 	ckptDir := flag.String("checkpoint-dir", "", "durable snapshot directory: restore the newest snapshot on boot, auto-snapshot while running, final snapshot on shutdown")
@@ -212,7 +212,7 @@ func main() {
 
 	// Periodic auto-snapshot: poll the sim clock at wall cadence and capture
 	// once -checkpoint-every of simulated time has elapsed since the last
-	// one. Capture runs on the sim goroutine as a pure read, so the run
+	// one. Capture runs under the engine lock as a pure read, so the run
 	// stays byte-identical to one that never checkpoints.
 	ckptStop := make(chan struct{})
 	if store != nil && *ckptEvery > 0 {

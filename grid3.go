@@ -933,7 +933,7 @@ type (
 	ServerStatus = serve.Status
 )
 
-// ErrOverloaded reports that the service's ingress mailbox was full and the
+// ErrOverloaded reports that the service's ingress queue was full and the
 // request was shed before touching the engine (HTTP 503 at the API).
 var ErrOverloaded = serve.ErrOverloaded
 

@@ -11,8 +11,25 @@ import (
 
 // Ad is a ClassAd: an unordered set of (attribute, expression) pairs.
 // Attribute names are case-insensitive, as in Condor.
+//
+// Rank writes a memo to the ad it ranks as TARGET, so one Ad must not be
+// evaluated from two goroutines at once. Parsed expressions are never
+// written and may be shared freely.
 type Ad struct {
 	attrs map[string]Expr
+	rank  *rankMemo // allocated the first time this ad is ranked as TARGET
+}
+
+// rankMemo remembers the last Rank expression evaluated with the ad as
+// TARGET. When every attribute reference the expression can reach is
+// TARGET-scoped (targetOnly), its value depends on this ad alone and val
+// holds it; otherwise Rank re-evaluates without walking the expression
+// again. Set and Delete, the only writers of a binding after NewAd and
+// Clone, clear it.
+type rankMemo struct {
+	expr       Expr
+	val        float64
+	targetOnly bool
 }
 
 // NewAd returns an empty ad.
@@ -23,6 +40,15 @@ func NewAd() *Ad {
 // Set binds an attribute to an expression.
 func (a *Ad) Set(name string, e Expr) {
 	a.attrs[strings.ToLower(name)] = e
+	a.forgetRank()
+}
+
+// forgetRank clears the Rank memo. The memo itself is kept, so the next
+// miss stores into it without allocating.
+func (a *Ad) forgetRank() {
+	if a.rank != nil {
+		*a.rank = rankMemo{}
+	}
 }
 
 // SetValue binds an attribute to a literal value. Rebinding the literal
@@ -85,6 +111,7 @@ func (a *Ad) Get(name string) (Expr, bool) {
 // Delete removes an attribute.
 func (a *Ad) Delete(name string) {
 	delete(a.attrs, strings.ToLower(name))
+	a.forgetRank()
 }
 
 // Len returns the number of attributes.
@@ -100,7 +127,8 @@ func (a *Ad) Names() []string {
 	return out
 }
 
-// Clone returns a shallow copy (expressions are immutable once parsed).
+// Clone returns a shallow copy (expressions are immutable once parsed)
+// without a Rank memo.
 func (a *Ad) Clone() *Ad {
 	c := NewAd()
 	for n, e := range a.attrs {

@@ -1,6 +1,7 @@
 package classad
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -561,6 +562,112 @@ func TestBestOfferOrder(t *testing.T) {
 		}
 		if got := refBestMatch(job, c.cands); got != c.want {
 			t.Errorf("%s: reference scan = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// Rank memoizes on the TARGET ad only when every reference its expression
+// can reach is TARGET-scoped. A TARGET reference is followed into the
+// target's binding, which the evaluator evaluates with MY still bound to
+// the job, so jobs sharing one Rank expression get their own values
+// whenever such a binding reads MY or an unscoped name.
+func TestRankMemoFollowsTargetBindings(t *testing.T) {
+	rank := MustParse("TARGET.FreeCpus - TARGET.WaitingJobs")
+	job := func(cpus int64) *Ad {
+		a := NewAd()
+		a.Set(AttrRank, rank)
+		a.SetInt("Cpus", cpus)
+		return a
+	}
+	jobs := []*Ad{job(1), job(4), job(1)}
+	cases := []struct {
+		name, ce string
+		stored   bool
+	}{
+		{"literals", "FreeCpus = 8\nWaitingJobs = 3\n", true},
+		{"missing attribute", "FreeCpus = 8\n", true},
+		{"TARGET chain", "FreeCpus = TARGET.Slots - 2\nSlots = 10\nWaitingJobs = 3\n", true},
+		{"binding reads MY", "FreeCpus = MY.Cpus * 2\nWaitingJobs = 3\n", false},
+		{"binding reads an unscoped name", "FreeCpus = Cpus + 1\nCpus = 100\nWaitingJobs = 3\n", false},
+		{"TARGET chain reaches MY", "FreeCpus = TARGET.Slots\nSlots = ifThenElse(MY.Cpus > 2, 10, 20)\nWaitingJobs = 3\n", false},
+		{"reference cycle", "FreeCpus = TARGET.WaitingJobs\nWaitingJobs = TARGET.FreeCpus + 1\n", false},
+	}
+	for _, c := range cases {
+		ce := MustParseAd(c.ce)
+		for i, j := range jobs {
+			if got, want := Rank(j, ce), refRank(j, ce); !sameRank(got, want) {
+				t.Errorf("%s: job %d Rank = %v, reference %v", c.name, i, got, want)
+			}
+		}
+		if stored := ce.rank != nil && ce.rank.expr == rank && ce.rank.targetOnly; stored != c.stored {
+			t.Errorf("%s: value stored = %v, want %v", c.name, stored, c.stored)
+		}
+	}
+}
+
+// Set and Delete clear the memo; SetValue of the literal already bound
+// changes nothing and keeps it.
+func TestRankMemoInvalidation(t *testing.T) {
+	job := MustParseAd("Rank = TARGET.FreeCpus - TARGET.WaitingJobs\n")
+	ce := MustParseAd("FreeCpus = 8\nWaitingJobs = 3\n")
+	steps := []struct {
+		name   string
+		change func()
+		kept   bool // the memo still holds a value when Rank is called
+		want   float64
+	}{
+		{"first", func() {}, false, 5},
+		{"again", func() {}, true, 5},
+		{"SetInt", func() { ce.SetInt("FreeCpus", 10) }, false, 7},
+		{"Set", func() { ce.Set("WaitingJobs", MustParse("TARGET.FreeCpus / 2")) }, false, 5},
+		{"identical SetInt", func() { ce.SetInt("FreeCpus", 10) }, true, 5},
+		{"Delete", func() { ce.Delete("WaitingJobs") }, false, 0},
+		{"Set after Delete", func() { ce.SetInt("WaitingJobs", 1) }, false, 9},
+	}
+	for _, s := range steps {
+		s.change()
+		if kept := ce.rank != nil && ce.rank.expr != nil; kept != s.kept {
+			t.Fatalf("%s: memo kept = %v, want %v", s.name, kept, s.kept)
+		}
+		if got := Rank(job, ce); got != s.want || got != refRank(job, ce) {
+			t.Fatalf("%s: Rank = %v, want %v", s.name, got, s.want)
+		}
+	}
+	if c := ce.Clone(); c.rank != nil {
+		t.Fatal("Clone copied the memo")
+	}
+}
+
+// A collector refresh that rebinds every CE ad makes every candidate of
+// the next scan miss the memo. Once an ad's memo exists, the miss
+// (evaluation plus the walk) allocates nothing.
+func TestRankMemoMissAllocatesNothing(t *testing.T) {
+	free := []Expr{MustParse("3"), MustParse("5")}
+	ads := make([]*Ad, 1000)
+	for i := range ads {
+		ads[i] = MustParseAd(fmt.Sprintf(`FreeCpus = %d
+WaitingJobs = %d
+MaxWallTime = 172800
+SupportedVOs = "usatlas,uscms"
+Requirements = stringListMember(TARGET.VO, MY.SupportedVOs) && TARGET.WallTime <= MY.MaxWallTime
+`, i%13, i%3))
+	}
+	job := MustParseAd("Rank = TARGET.FreeCpus - TARGET.WaitingJobs\nVO = \"uscms\"\nWallTime = 3600\n")
+	k := 0
+	scan := func() {
+		k ^= 1
+		for _, ad := range ads {
+			ad.Set("freecpus", free[k])
+		}
+		BestMatch(job, ads)
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Fatalf("rebinding %d CE ads and scanning them made %v allocations, want 0", len(ads), allocs)
+	}
+	for i, ad := range ads {
+		if m := ad.rank; m == nil || !m.targetOnly {
+			t.Fatalf("ad %d: the scan after a rebind stored no Rank", i)
 		}
 	}
 }

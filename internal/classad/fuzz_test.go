@@ -147,6 +147,39 @@ func checkEval(t *testing.T, data []byte) {
 	if got := BestMatch(my, cands); got != want {
 		t.Fatalf("BestMatch = %d, reference %d", got, want)
 	}
+
+	// The Rank memo on target: rank the same job again (a hit when my's
+	// Rank reads only target), rank a job that shares my's Rank expression
+	// but binds other MY values, then delete, rebind or keep each target
+	// attribute in turn and rank both again after each change. Exhausted
+	// input deletes every attribute.
+	other := g.ad(3)
+	if r, ok := my.Get(AttrRank); ok {
+		other.Set(AttrRank, r)
+	}
+	rank := func(step string, job *Ad) {
+		if got, want := Rank(job, target), refRank(job, target); !sameRank(got, want) {
+			t.Fatalf("%s: Rank = %v, reference %v\nmy:\n%starget:\n%s", step, got, want, job, target)
+		}
+	}
+	rank("again", my)
+	rank("shared Rank", other)
+	rank("shared Rank again", other)
+	for _, name := range fuzzNames {
+		switch g.pick(4) {
+		case 0:
+			target.Delete(name)
+		case 1:
+			g.refs = 1
+			target.Set(name, g.expr(3))
+		case 2:
+			target.SetValue(name, fuzzLits[g.pick(len(fuzzLits))])
+		default:
+			continue
+		}
+		rank("after "+name+" changed", my)
+		rank("after "+name+" changed, shared Rank", other)
+	}
 }
 
 func FuzzEval(f *testing.F) {

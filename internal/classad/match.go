@@ -28,12 +28,39 @@ func halfMatch(my, target *Ad) bool {
 
 // Rank evaluates my's Rank expression against target. Missing, UNDEFINED,
 // or non-numeric ranks are 0, per Condor.
+//
+// Rank memoizes on target: when my's Rank expression is the one last
+// evaluated there (compared by pointer, so every job sharing one parsed
+// Rank shares the memo) and it reads nothing but target, the stored value
+// is returned. Between two collector refreshes a CE ad is ranked by the
+// same job Rank on every unpinned scan, and Set or Delete on target clears
+// the memo, so a hit returns what evaluation would.
 func Rank(my, target *Ad) float64 {
 	e, ok := my.attrs[AttrRank]
 	if !ok {
 		return 0
 	}
-	v := evalExpr(e, evalContext{my: my, target: target})
+	if target == nil {
+		return rankValue(evalExpr(e, evalContext{my: my}))
+	}
+	m := target.rank
+	if m != nil && m.expr == e && m.targetOnly {
+		return m.val
+	}
+	f := rankValue(evalExpr(e, evalContext{my: my, target: target}))
+	if m == nil {
+		m = new(rankMemo)
+		target.rank = m
+	}
+	if m.expr != e {
+		*m = rankMemo{expr: e, val: f, targetOnly: readsOnlyTarget(e, target, 0)}
+	}
+	return f
+}
+
+// rankValue converts an evaluated Rank to a number: TRUE is 1, and
+// anything else that is not a number is 0.
+func rankValue(v Value) float64 {
 	f, ok := v.Number()
 	if !ok {
 		if b, bok := v.BoolVal(); bok && b {
@@ -42,6 +69,45 @@ func Rank(my, target *Ad) float64 {
 		return 0
 	}
 	return f
+}
+
+// readsOnlyTarget reports whether every attribute reference that
+// evaluating e against target can reach is TARGET-scoped, following each
+// into target's own binding: the evaluator evaluates that binding with MY
+// still bound, so a binding such as FreeCpus = MY.Cpus reads MY. An
+// unscoped name looks in MY first, so it reads MY too. depth counts nodes
+// as evalExpr does; a walk deeper than maxEvalDepth (a reference cycle)
+// reports false.
+func readsOnlyTarget(e Expr, target *Ad, depth int) bool {
+	depth++
+	if depth > maxEvalDepth {
+		return false
+	}
+	switch x := e.(type) {
+	case *litExpr:
+		return true
+	case *attrExpr:
+		if x.scope != scopeTarget {
+			return false
+		}
+		b, ok := target.attrs[x.name]
+		return !ok || readsOnlyTarget(b, target, depth)
+	case *unaryExpr:
+		return readsOnlyTarget(x.x, target, depth)
+	case *binaryExpr:
+		return readsOnlyTarget(x.l, target, depth) && readsOnlyTarget(x.r, target, depth)
+	case *condExpr:
+		return readsOnlyTarget(x.cond, target, depth) &&
+			readsOnlyTarget(x.then, target, depth) && readsOnlyTarget(x.els, target, depth)
+	case *callExpr:
+		for _, a := range x.args {
+			if !readsOnlyTarget(a, target, depth) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // BestMatch returns the index of the candidate with the highest
@@ -59,12 +125,13 @@ func BestMatch(job *Ad, candidates []*Ad) int {
 // Best accumulates BestMatch over candidates offered in ascending index
 // order. The zero value holds nothing.
 //
-// Evaluation is pure, so Offer evaluates a candidate's Requirements only
-// when its ranks would displace the held candidate: once one is held, a
-// candidate with a lower (or NaN) job Rank, or an equal one without a
-// higher target Rank, cannot win whether or not it matches. That prunes
-// most of a large scan and leaves the pick, including the lowest-index
-// tie-break, unchanged.
+// Evaluation has no observable effect (Rank's memo returns what evaluation
+// would), so Offer skips what cannot change the pick. Once a candidate is
+// held, one with a lower (or NaN) job Rank cannot win, so Offer evaluates
+// a candidate's own Rank of the job only when its job Rank ties or beats
+// the held one, and its Requirements only when its ranks would displace
+// the held candidate. That prunes most of a large scan and leaves the
+// pick, including the lowest-index tie-break, unchanged.
 type Best struct {
 	idx         int // held candidate's index + 1; 0 while none is held
 	rank, trank float64
@@ -93,7 +160,13 @@ func (b *Best) Offer(i int, job, c *Ad) {
 		}
 		return
 	}
-	if r, tr := Rank(job, c), Rank(c, job); b.displaces(r, tr) && Match(job, c) {
+	// r >= b.rank is false for a lower job Rank and whenever either side
+	// is NaN: exactly the cases displaces rejects for every target Rank.
+	r := Rank(job, c)
+	if !(r >= b.rank) {
+		return
+	}
+	if tr := Rank(c, job); b.displaces(r, tr) && Match(job, c) {
 		b.idx, b.rank, b.trank = i+1, r, tr
 	}
 }

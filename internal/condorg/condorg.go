@@ -273,7 +273,8 @@ func (s *Schedd) CompletedCount() int { return s.completed }
 // HeldCount returns the number of jobs that exhausted retries.
 func (s *Schedd) HeldCount() int { return s.held }
 
-// MatchFailures counts negotiation cycles where a job found no resource.
+// MatchFailures counts placement attempts that found no resource: the try
+// at Submit and each negotiation cycle's try for an idle job.
 func (s *Schedd) MatchFailures() int { return s.matchFailures }
 
 // Submit queues a job and tries to place it immediately.

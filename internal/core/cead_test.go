@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -24,12 +25,20 @@ func TestCEAdRefreshMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.Grid
+	// A job ranks the refreshed ad as Condor-G does, so the Rank memo the
+	// refreshed ad carries from earlier steps must give a fresh ad's value.
+	job := classad.NewAd()
+	job.Set("Rank", defaultRank)
 	for step := time.Duration(1); step <= 12; step++ {
 		s.RunUntil(step * 12 * time.Hour)
 		for _, name := range g.Order {
 			n := g.Nodes[name]
-			if got, want := refreshCEAd(g, n).String(), g.ce(n).Ad().String(); got != want {
+			ad, fresh := refreshCEAd(g, n), g.ce(n).Ad()
+			if got, want := ad.String(), fresh.String(); got != want {
 				t.Fatalf("%s at %v: refreshed ad\n%s\nfresh ad\n%s", name, g.Eng.Now(), got, want)
+			}
+			if got, want := classad.Rank(job, ad), classad.Rank(job, fresh); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s at %v: Rank of the refreshed ad %v, of a fresh ad %v", name, g.Eng.Now(), got, want)
 			}
 		}
 	}

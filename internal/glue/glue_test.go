@@ -179,14 +179,53 @@ func TestBestMatchOverCEAdsAllocatesNothing(t *testing.T) {
 	}
 }
 
+// SetAdLoad must move the pick that BestMatch makes from a ranked ad: a
+// swap of two ads' free CPUs flips it, and an identical refresh keeps it.
+func TestSetAdLoadMovesBestMatch(t *testing.T) {
+	ads := []*classad.Ad{validCE().Ad(), validCE().Ad()}
+	job := jobAd("usatlas", time.Hour)
+	steps := []struct {
+		name         string
+		free0, free1 int
+		want         int
+	}{
+		{"first scan", 30, 10, 0},
+		{"identical refresh", 30, 10, 0},
+		{"free CPUs swapped", 10, 30, 1},
+		{"identical refresh after the swap", 10, 30, 1},
+		{"swapped back", 30, 10, 0},
+	}
+	for _, s := range steps {
+		SetAdLoad(ads[0], s.free0, 44, 7)
+		SetAdLoad(ads[1], s.free1, 44, 7)
+		if got := classad.BestMatch(job, ads); got != s.want {
+			t.Fatalf("%s: BestMatch = %d, want %d", s.name, got, s.want)
+		}
+	}
+}
+
 // BenchmarkBestMatchCEAds is one unpinned placement scan on the 1000-site
-// testbed, which sees about 775 eligible CEs.
+// testbed, which sees about 775 eligible CEs. Between two collector
+// refreshes every scan finds each ad's job Rank memoized; "rebound"
+// rebinds every ad's FreeCpus before each scan, so every candidate misses
+// (its time includes the 775 rebinds).
 func BenchmarkBestMatchCEAds(b *testing.B) {
 	ads := ceAds(775)
 	job := jobAd("uscms", 36*time.Hour)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		classad.BestMatch(job, ads)
-	}
+	b.Run("unchanged", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			classad.BestMatch(job, ads)
+		}
+	})
+	b.Run("rebound", func(b *testing.B) {
+		free := []classad.Expr{classad.MustParse("3"), classad.MustParse("5")}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, ad := range ads {
+				ad.Set("freecpus", free[i&1])
+			}
+			classad.BestMatch(job, ads)
+		}
+	})
 }

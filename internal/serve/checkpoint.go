@@ -81,7 +81,7 @@ func applySubmit(scen *core.Scenario, jobs *jobTable, req submitRequest) *JobRec
 }
 
 // journalOp appends one executed mutation to the service journal at the
-// engine's current instant. Runs on the sim goroutine only.
+// engine's current instant. Runs under the engine lock only.
 func (s *Service) journalOp(kind string, payload any) {
 	data, err := json.Marshal(payload)
 	if err != nil {

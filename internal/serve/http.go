@@ -28,12 +28,12 @@ type HandlerConfig struct {
 
 // NewHandler builds the full HTTP/JSON API over a service. Every handler
 // crosses the ingress boundary with Service.Do, so the grid is never
-// touched off the sim goroutine.
+// touched without the engine lock.
 func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	p := func(pattern string) string { return fmt.Sprintf(pattern, APIVersion) }
 
-	// Liveness: answered without entering the sim loop, so the probe works
+	// Liveness: answered without taking the engine lock, so the probe works
 	// even while the engine replays a catch-up burst.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})

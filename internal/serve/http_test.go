@@ -318,11 +318,8 @@ func TestHandlerOverloadMapsTo503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Never started: jam the mailbox so every handler sheds.
-	go s.Do(func() {})
-	for len(s.mbox) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	// Jam the queue so every handler sheds.
+	release := jam(s)
 	ts := httptest.NewServer(NewHandler(s, HandlerConfig{}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/api/v1/status")
@@ -341,5 +338,6 @@ func TestHandlerOverloadMapsTo503(t *testing.T) {
 	if out["status"] != "ok" {
 		t.Fatalf("healthz under overload = %v", out)
 	}
+	release()
 	s.Stop()
 }

@@ -33,8 +33,9 @@ type JobCounts struct {
 	Failed    int `json:"failed"`
 }
 
-// jobTable tracks every job admitted through the API. It is owned by the
-// sim goroutine — all access goes through Service.Do — so it needs no lock.
+// jobTable tracks every job admitted through the API. The engine lock
+// guards it — all access goes through Service.Do — so it needs no lock of
+// its own.
 type jobTable struct {
 	seq    int64
 	byID   map[string]*JobRecord

@@ -7,16 +7,23 @@
 // # The ingress determinism boundary
 //
 // The engine is single-threaded by design — that is what makes runs
-// reproducible — so the service keeps exactly one goroutine (the sim loop)
-// that owns the engine, and serializes every external touch through a
-// bounded FIFO mailbox. HTTP handlers never read or mutate grid state
-// directly: they enqueue a closure and wait for the sim loop to execute it
-// between engine steps. Given the same admission sequence, the simulation
-// evolves identically; wall-clock arrival order is the only
-// nondeterministic input, and it is pinned at exactly one place (mailbox
-// admission) rather than scattered across handlers. When the mailbox is
-// full the request is shed with ErrOverloaded before it can perturb the
+// reproducible — so the service serializes every touch of the scenario
+// through one engine lock. The sim loop holds it while it advances the
+// engine; HTTP handlers never read or mutate grid state directly, they
+// hand Service.Do a closure that runs on the handler's own goroutine while
+// it holds the lock, between engine steps. Given the same admission
+// sequence, the simulation evolves identically; wall-clock arrival order
+// is the only nondeterministic input, and it is pinned at exactly one
+// place (the order in which closures take the engine lock) rather than
+// scattered across handlers. When MaxPending calls already wait for the
+// lock, the request is shed with ErrOverloaded before it can perturb the
 // engine — overload degrades goodput, never determinism.
+//
+// The closure runs on the caller's goroutine, not the sim loop's: handing
+// it over and back would cost two goroutine wake-ups per request, each of
+// which may wake an idle OS thread, and on a two-CPU host those wake-ups
+// make request latency, and anything timed beside it, vary from run to
+// run.
 //
 // # Scaled real time
 //
@@ -43,9 +50,9 @@ import (
 
 // Service errors.
 var (
-	// ErrOverloaded reports that the ingress mailbox was full and the
-	// request was shed (HTTP 503).
-	ErrOverloaded = errors.New("serve: ingress mailbox full")
+	// ErrOverloaded reports that MaxPending requests already waited for
+	// the engine and the request was shed (HTTP 503).
+	ErrOverloaded = errors.New("serve: ingress queue full")
 	// ErrStopped reports that the service shut down before the request ran.
 	ErrStopped = errors.New("serve: service stopped")
 )
@@ -61,8 +68,8 @@ type Config struct {
 	Pace float64
 	// Tick is the wall interval between governor steps (default 10ms).
 	Tick time.Duration
-	// MaxPending bounds the ingress mailbox; requests beyond it are shed
-	// with ErrOverloaded (default 4096).
+	// MaxPending bounds how many requests may wait for the engine lock;
+	// requests beyond it are shed with ErrOverloaded (default 4096).
 	MaxPending int
 	// MaxStride bounds how much virtual time one loop tick may advance
 	// during catch-up, keeping ingress responsive behind a burst (default
@@ -121,34 +128,41 @@ func (c *Config) defaults() {
 type Service struct {
 	cfg  Config
 	scen *core.Scenario
-	gov  *sim.Governor
 
-	mbox chan func()
+	// engine is the ingress lock: whoever holds it owns scen and the
+	// fields marked as guarded by it. The sim loop holds it to advance, Do
+	// to run a closure.
+	engine sync.Mutex
+	// waiting counts Do calls admitted and not yet holding engine.
+	waiting atomic.Int64
+
 	stop chan struct{}
 	done chan struct{}
 
 	startOnce sync.Once
 	stopOnce  sync.Once
-	started   time.Time
 
-	// accepted/shed count mailbox admissions; shed requests never touch
-	// the engine. Atomics because handlers bump them off the sim loop.
+	// accepted/shed count admissions; shed requests never touch the
+	// engine. Atomics because handlers bump them without the lock.
 	accepted atomic.Uint64
 	shed     atomic.Uint64
 
 	// pace holds the live compression ratio as Float64bits; atomic because
-	// SetPace rewrites it from the sim goroutine while Pace reads anywhere.
+	// SetPace rewrites it under the lock while Pace reads anywhere.
 	pace atomic.Uint64
 
-	// Owned by the sim goroutine after Start (reads go through do()).
+	// Guarded by engine.
+	gov      *sim.Governor
+	started  time.Time
 	jobs     *jobTable
 	finished bool
+	stopped  bool // the loop has shut down; Do refuses with ErrStopped
 
 	// journal records every executed external mutation (enroll, submit)
 	// with its sim time, in execution order — the replay log a serve-scope
-	// snapshot carries. Owned by the sim goroutine. Seeded from the
-	// snapshot's journal on restore so later snapshots keep the full
-	// history from the original boot.
+	// snapshot carries. Guarded by engine. Seeded from the snapshot's
+	// journal on restore so later snapshots keep the full history from the
+	// original boot.
 	journal []checkpoint.Op
 }
 
@@ -185,7 +199,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		scen:    scen,
-		mbox:    make(chan func(), cfg.MaxPending),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		jobs:    jobs,
@@ -195,8 +208,8 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Scenario exposes the underlying campaign. Outside the sim loop, touch it
-// only through Do — the engine is not safe for concurrent use.
+// Scenario exposes the underlying campaign. Once the service runs, touch
+// it only through Do — the engine is not safe for concurrent use.
 func (s *Service) Scenario() *core.Scenario { return s.scen }
 
 // Pace returns the live compression ratio.
@@ -206,23 +219,26 @@ func (s *Service) Pace() float64 { return math.Float64frombits(s.pace.Load()) }
 // the Service synchronously in tests is to skip Start and call Step.
 func (s *Service) Start() {
 	s.startOnce.Do(func() {
+		s.engine.Lock()
 		s.started = time.Now()
 		s.gov = sim.NewGovernor(s.Pace(), s.scen.Grid.Eng.Now(), s.started)
+		s.engine.Unlock()
 		go s.loop()
 	})
 }
 
-// Stop shuts the sim loop down: pending mailbox entries drain, the
-// scenario finishes (final ACDC pull, observability flush), and the loop
-// exits. Safe to call more than once; blocks until shutdown completes.
+// Stop shuts the sim loop down: the scenario finishes (final ACDC pull,
+// observability flush) under the engine lock, the loop exits, and a Do
+// that takes the lock afterwards returns ErrStopped. Safe to call more
+// than once; blocks until shutdown completes.
 func (s *Service) Stop() {
 	s.Start() // a never-started service still stops cleanly
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
 }
 
-// loop is the sim goroutine: the only place engine time advances and the
-// only executor of mailbox closures.
+// loop is the sim goroutine: each tick it advances the engine under the
+// engine lock.
 func (s *Service) loop() {
 	defer close(s.done)
 	ticker := time.NewTicker(s.cfg.Tick)
@@ -230,13 +246,15 @@ func (s *Service) loop() {
 	for {
 		select {
 		case <-s.stop:
-			s.drain()
+			s.engine.Lock()
 			s.finish()
+			s.stopped = true
+			s.engine.Unlock()
 			return
-		case fn := <-s.mbox:
-			fn()
 		case now := <-ticker.C:
+			s.engine.Lock()
 			s.advance(now)
+			s.engine.Unlock()
 		}
 	}
 }
@@ -275,54 +293,37 @@ func (s *Service) finish() {
 	s.scen.Finish()
 }
 
-// drain empties the mailbox on shutdown so no caller blocks forever on a
-// posted closure.
-func (s *Service) drain() {
-	for {
-		select {
-		case fn := <-s.mbox:
-			fn()
-		default:
-			return
-		}
-	}
-}
-
-// Do executes fn on the sim goroutine and waits for it, the synchronous
-// ingress path every handler uses. It returns ErrOverloaded when the
-// mailbox is full and ErrStopped when the service shut down before fn ran.
+// Do runs fn on the caller's goroutine while holding the engine lock,
+// between engine steps: the synchronous ingress path every handler uses.
+// fn must not call Do. It returns ErrOverloaded when MaxPending calls
+// already wait for the lock and ErrStopped when the service shut down
+// before fn ran.
 func (s *Service) Do(fn func()) error {
-	ran := make(chan struct{})
-	select {
-	case s.mbox <- func() { fn(); close(ran) }:
-		s.accepted.Add(1)
-	default:
+	if s.waiting.Add(1) > int64(s.cfg.MaxPending) {
+		s.waiting.Add(-1)
 		s.shed.Add(1)
 		return ErrOverloaded
 	}
-	select {
-	case <-ran:
-		return nil
-	case <-s.done:
-		// The loop may have executed fn during its shutdown drain.
-		select {
-		case <-ran:
-			return nil
-		default:
-			return ErrStopped
-		}
+	s.accepted.Add(1)
+	s.engine.Lock()
+	s.waiting.Add(-1)
+	defer s.engine.Unlock()
+	if s.stopped {
+		return ErrStopped
 	}
+	fn()
+	return nil
 }
 
-// Step synchronously drains the mailbox and advances the engine to the
-// governor target for wall instant now — the loop body without the loop,
-// for deterministic tests that drive wall time by hand. Only valid before
-// Start.
+// Step advances the engine to the governor target for wall instant now —
+// the loop body without the loop, for deterministic tests that drive wall
+// time by hand. Only valid before Start.
 func (s *Service) Step(now time.Time) {
+	s.engine.Lock()
+	defer s.engine.Unlock()
 	if s.gov == nil {
 		s.gov = sim.NewGovernor(s.Pace(), s.scen.Grid.Eng.Now(), now)
 	}
-	s.drain()
 	s.advance(now)
 }
 
@@ -342,8 +343,8 @@ func (s *Service) SetPace(pace float64) error {
 	})
 }
 
-// Status is a point-in-time snapshot of the daemon, assembled on the sim
-// goroutine; the HTTP layer owns the wire shape.
+// Status is a point-in-time snapshot of the daemon, assembled under the
+// engine lock; the HTTP layer owns the wire shape.
 type Status struct {
 	SimNow        time.Duration
 	SimClock      time.Time
@@ -374,11 +375,11 @@ func (s *Service) StatusNow() (Status, error) {
 		st.Pending = eng.Pending()
 		st.Finished = s.finished
 		st.Jobs = s.jobs.counts
+		if !s.started.IsZero() {
+			st.UptimeSeconds = time.Since(s.started).Seconds()
+		}
 	})
 	st.Accepted = s.accepted.Load()
 	st.Shed = s.shed.Load()
-	if !s.started.IsZero() {
-		st.UptimeSeconds = time.Since(s.started).Seconds()
-	}
 	return st, err
 }

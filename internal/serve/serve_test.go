@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,23 +152,83 @@ func TestServiceOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not started: the mailbox fills and nobody drains it yet.
-	enqueued := make(chan struct{})
-	go func() {
-		close(enqueued)
-		s.Do(func() {})
-	}()
-	<-enqueued
-	for len(s.mbox) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	release := jam(s)
 	if err := s.Do(func() {}); err != ErrOverloaded {
-		t.Fatalf("Do on full mailbox = %v, want ErrOverloaded", err)
+		t.Fatalf("Do on full queue = %v, want ErrOverloaded", err)
 	}
 	if s.shed.Load() != 1 {
 		t.Fatalf("shed = %d, want 1", s.shed.Load())
 	}
-	s.Stop() // drains the stuck closure, unblocks the goroutine
+	release()
+	s.Stop()
+}
+
+func TestServiceDoConcurrent(t *testing.T) {
+	// Handlers call Do from many goroutines while the sim loop advances
+	// and Stop lands part-way: each closure runs alone with the engine
+	// (the race detector checks), none runs after shutdown, and every call
+	// either runs or returns ErrStopped.
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	const workers, calls = 8, 200
+	ran := 0 // guarded by the engine lock
+	var refused atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				if w == 0 && i == calls/2 {
+					go s.Stop()
+				}
+				err := s.Do(func() {
+					if s.stopped {
+						t.Error("closure ran after shutdown")
+					}
+					ran++
+					_ = s.scen.Grid.Eng.Now()
+				})
+				switch err {
+				case nil:
+				case ErrStopped:
+					refused.Add(1)
+				default:
+					t.Errorf("Do: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.Stop()
+	if ran == 0 || ran+int(refused.Load()) != workers*calls {
+		t.Fatalf("ran %d + refused %d, want %d calls with some run", ran, refused.Load(), workers*calls)
+	}
+}
+
+// jam fills the queue of a service with MaxPending 1: one Do holds the
+// engine lock and a second waits for it. release lets both run and returns
+// once they have.
+func jam(s *Service) (release func()) {
+	holding, unblock := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		s.Do(func() { close(holding); <-unblock })
+	}()
+	<-holding
+	go func() {
+		defer wg.Done()
+		s.Do(func() {})
+	}()
+	for s.waiting.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	return func() { close(unblock); wg.Wait() }
 }
 
 func TestServiceSetPace(t *testing.T) {
