@@ -8,22 +8,18 @@
 package grid3
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"grid3/internal/apps"
-	"grid3/internal/campaign"
 	"grid3/internal/core"
 	"grid3/internal/failure"
 	"grid3/internal/gram"
 	"grid3/internal/mdviewer"
-	"grid3/internal/sim"
 	"grid3/internal/vo"
 )
 
@@ -409,204 +405,4 @@ func BenchmarkAblationSiteSelection(b *testing.B) {
 			fmt.Printf("  load-balanced: max single-site share %.0f%% across %d sites\n", uniShare, uniSites)
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Engine hot path (PERF-ENGINE): the per-event cost of the discrete-event
-// core, new 4-ary arena engine vs the container/heap baseline it replaced.
-// scripts/bench.sh records these in BENCH_sim.json.
-// ---------------------------------------------------------------------------
-
-// benchDelays is a deterministic LCG delay stream shared by both engines so
-// they execute the identical event schedule.
-type benchDelays struct{ state uint64 }
-
-func (d *benchDelays) next() time.Duration {
-	d.state = d.state*6364136223846793005 + 1442695040888963407
-	return time.Duration(d.state>>33%1000) * time.Millisecond
-}
-
-// BenchmarkEngineStep measures the steady-state cost of one event: a churn
-// of 1024 self-rescheduling events (the job/transfer pattern) plus 64
-// periodic tickers (the monitoring/negotiation pattern, riding the
-// timer-wheel fast path).
-func BenchmarkEngineStep(b *testing.B) {
-	e := sim.NewEngine(sim.Grid3Epoch)
-	delays := &benchDelays{state: 1}
-	var fn func()
-	fn = func() { e.Schedule(delays.next(), fn) }
-	for i := 0; i < 1024; i++ {
-		e.Schedule(delays.next(), fn)
-	}
-	for i := 0; i < 64; i++ {
-		sim.NewTicker(e, time.Duration(i+1)*137*time.Millisecond, func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-// BenchmarkEngineStepHeapBaseline runs the identical workload on the
-// container/heap engine this PR replaced (one *event allocation per
-// schedule, binary heap, tickers re-pushed into the main queue each tick).
-func BenchmarkEngineStepHeapBaseline(b *testing.B) {
-	e := &baselineEngine{}
-	delays := &benchDelays{state: 1}
-	var fn func()
-	fn = func() { e.schedule(delays.next(), fn) }
-	for i := 0; i < 1024; i++ {
-		e.schedule(delays.next(), fn)
-	}
-	for i := 0; i < 64; i++ {
-		interval := time.Duration(i+1) * 137 * time.Millisecond
-		var tick func()
-		tick = func() { e.schedule(interval, tick) }
-		e.schedule(interval, tick)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.step()
-	}
-}
-
-// BenchmarkEngineCancel measures cancellation churn: schedule-then-cancel
-// pairs with live traffic in between, the batch-system preemption pattern
-// that exercises lazy discard and compaction.
-func BenchmarkEngineCancel(b *testing.B) {
-	e := sim.NewEngine(sim.Grid3Epoch)
-	delays := &benchDelays{state: 9}
-	var fn func()
-	fn = func() { e.Schedule(delays.next(), fn) }
-	for i := 0; i < 256; i++ {
-		e.Schedule(delays.next(), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := e.Schedule(delays.next(), func() {})
-		ev.Cancel()
-		e.Step()
-	}
-}
-
-// baselineEngine reproduces the pre-overhaul engine for comparison:
-// container/heap over per-event allocations, ordered by (time, seq).
-type baselineEngine struct {
-	now time.Duration
-	seq uint64
-	q   baselineQueue
-}
-
-type baselineEvent struct {
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	index int
-}
-
-func (e *baselineEngine) schedule(d time.Duration, fn func()) *baselineEvent {
-	e.seq++
-	ev := &baselineEvent{at: e.now + d, seq: e.seq, fn: fn}
-	heap.Push(&e.q, ev)
-	return ev
-}
-
-func (e *baselineEngine) step() bool {
-	if e.q.Len() == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.q).(*baselineEvent)
-	e.now = ev.at
-	ev.fn()
-	return true
-}
-
-type baselineQueue []*baselineEvent
-
-func (q baselineQueue) Len() int { return len(q) }
-func (q baselineQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q baselineQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *baselineQueue) Push(x any) {
-	ev := x.(*baselineEvent)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *baselineQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
-}
-
-// BenchmarkScenarioDay measures end-to-end campaign throughput: one full
-// simulated production day (assembly included) at 5% workload scale.
-func BenchmarkScenarioDay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := core.NewScenario(core.ScenarioConfig{
-			Config:   core.Config{Seed: 1},
-			Horizon:  24 * time.Hour,
-			JobScale: 0.05,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Run()
-		if i == 0 && firstRun("SCEN-DAY") {
-			fmt.Printf("# scenario day: %d jobs, %d events\n",
-				s.SubmittedTotal(), s.Grid.Eng.Processed())
-		}
-	}
-}
-
-// BenchmarkSweep measures the parallel campaign runner: four seeds fanned
-// across GOMAXPROCS workers, with per-seed output verified byte-identical
-// to a serial run of the same seeds. The parallel-speedup metric is
-// wall-clock serial/parallel; on a multi-core box it approaches
-// min(4, GOMAXPROCS).
-func BenchmarkSweep(b *testing.B) {
-	cfg := core.ScenarioConfig{Horizon: 6 * 24 * time.Hour, JobScale: 0.01}
-	runs := campaign.Seeds([]int64{1, 2, 3, 4}, 0.01, cfg)
-	var parallel *campaign.Report
-	var err error
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parallel, err = campaign.Sweep(runs, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	serial, err := campaign.Sweep(runs, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range runs {
-		p, s := parallel.Runs[i], serial.Runs[i]
-		if p.Table1Text != s.Table1Text || p.MilestonesText != s.MilestonesText {
-			b.Fatalf("seed %d: parallel output diverged from serial", p.Seed)
-		}
-	}
-	speedup := float64(serial.Elapsed) / float64(parallel.Elapsed)
-	b.ReportMetric(speedup, "parallel-speedup")
-	b.ReportMetric(float64(parallel.Workers), "workers")
-	printOnce("SWEEP", func() {
-		fmt.Printf("# sweep: 4 seeds on %d workers (GOMAXPROCS %d), parallel %v vs serial %v — %.2fx, outputs bit-identical\n",
-			parallel.Workers, runtime.GOMAXPROCS(0),
-			parallel.Elapsed.Round(time.Millisecond), serial.Elapsed.Round(time.Millisecond), speedup)
-	})
 }

@@ -25,10 +25,10 @@
 //	GET  /api/v1/goc/tickets[/{id}]    iGOC trouble tickets
 //	POST /api/v1/config/reload         re-read -config, apply dynamic fields
 //
-// The -config file is JSON; only the dynamic subset ({"pace": N,
-// "max_pending": N}) applies at runtime — POST /api/v1/config/reload or
-// SIGHUP re-reads it, applies what it can, and reports every static field
-// it had to skip. -days 0 keeps the default 183-day paper window; after
+// The -config file is JSON, layered over the flags at startup; at runtime
+// only "pace" applies — POST /api/v1/config/reload or SIGHUP re-reads it,
+// applies the pace, and reports every other field it had to skip as
+// needing a restart. -days 0 keeps the default 183-day paper window; after
 // the horizon the daemon stops generating load but keeps answering
 // queries. -json-out writes a final status record ("grid3.serve-status/1")
 // on clean shutdown, following the grid3sim -json-out convention.
@@ -304,8 +304,9 @@ func fatal(err error) {
 }
 
 // fileConfig is the -config schema. Pointer fields distinguish "absent"
-// from zero values; only Pace and MaxPending are dynamic — the rest shape
-// the scenario at construction and need a restart to change.
+// from zero values; only Pace is dynamic — MaxPending sizes the ingress
+// and the rest shape the scenario at construction, so they need a restart
+// to change.
 type fileConfig struct {
 	Pace       *float64 `json:"pace,omitempty"`
 	MaxPending *int     `json:"max_pending,omitempty"`

@@ -8,7 +8,7 @@
 //
 // Multi-seed campaign sweeps fan across CPUs, one engine per worker:
 //
-//	grid3sim -seeds 1,2,3,4 [-parallel N] [-json-out out.json]
+//	grid3sim -seeds 1,2,3,4 [-parallel N] [-json-out sweep.json]
 //
 // Observability (job-lifecycle spans and the metrics registry) is off by
 // default; either flag enables it for the run:
@@ -61,9 +61,10 @@
 //	grid3sim -sites 1000 -days 1 -quiet -memprofile mem.prof
 //	go tool pprof -sample_index=inuse_space -top mem.prof
 //
-// Every mode writes its report JSON through the one -json-out flag; the
-// report schema follows the mode (seed sweep, warm start, or the
-// single-run bench record).
+// Report JSON: -json-out writes a sweep's report, grid3.sweep/1 for -seeds
+// (the record grid3exp writes for a sweep experiment) and
+// grid3.warm-start/1 for -warm-seeds. A single run has no report JSON, so
+// -json-out without either is refused.
 //
 // The chaos, testbed-scale, data-plane and ingestion campaigns are
 // declared in experiments/core.json and run by cmd/grid3exp:
@@ -73,7 +74,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -116,7 +116,7 @@ func main() {
 	upgradeStagger := flag.Duration("upgrade-stagger", 0, "tier-to-tier stagger for -upgrade-at (0 = the 48h default)")
 	certLifetime := flag.Duration("cert-lifetime", 0, "arm GSI host-credential expiry storms with this per-site lifetime (0 = off)")
 	certRenewal := flag.Duration("cert-renewal", 0, "mean renewal outage for -cert-lifetime (0 = the 3h default)")
-	jsonOut := flag.String("json-out", "", "write the active mode's report JSON to this file (schema follows the mode)")
+	jsonOut := flag.String("json-out", "", "write the -seeds or -warm-seeds report JSON to this file")
 	checkpointAt := flag.String("checkpoint-at", "", "comma-separated sim times (e.g. 240h,360h): capture a snapshot at each into -checkpoint-out")
 	checkpointOut := flag.String("checkpoint-out", "", "snapshot file receiving -checkpoint-at captures (the file holds the latest capture)")
 	restorePath := flag.String("restore", "", "restore the run from this snapshot file (verified deterministic replay) and continue")
@@ -181,6 +181,10 @@ func main() {
 
 	if (*cpuProfile != "" || *memProfile != "") && (*seedList != "" || *warmSeeds != "") {
 		fmt.Fprintln(os.Stderr, "grid3sim: -cpuprofile/-memprofile apply to single runs only")
+		os.Exit(2)
+	}
+	if *jsonOut != "" && *seedList == "" && *warmSeeds == "" {
+		fmt.Fprintln(os.Stderr, "grid3sim: -json-out applies to -seeds and -warm-seeds runs only")
 		os.Exit(2)
 	}
 
@@ -330,29 +334,6 @@ func main() {
 	fmt.Printf("Grid3 scenario: %d days, seed %d, scale %.2f — %d jobs submitted, %d records, %d events, ran in %v\n\n",
 		runDays, runSeed, runScale, s.SubmittedTotal(), s.Grid.ACDC.Len(), s.Grid.Eng.Processed(),
 		elapsed.Round(time.Millisecond))
-	if *jsonOut != "" {
-		rec := benchRecord{
-			Kind:       "grid3sim-run",
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Workers:    1,
-			Seeds:      []int64{runSeed},
-			Scale:      runScale,
-			Days:       runDays,
-			WallSecs:   elapsed.Seconds(),
-			SerialSecs: elapsed.Seconds(),
-			Speedup:    1,
-			Events:     s.Grid.Eng.Processed(),
-			Runs: []benchRun{{
-				Seed: runSeed, ElapsedSecs: elapsed.Seconds(),
-				Events: s.Grid.Eng.Processed(),
-				Jobs:   s.SubmittedTotal(), Records: s.Grid.ACDC.Len(),
-			}},
-		}
-		rec.EventsPerSec = float64(rec.Events) / elapsed.Seconds()
-		if err := writeBenchJSON(*jsonOut, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "grid3sim: writing bench JSON:", err)
-		}
-	}
 	if *csvDir != "" {
 		if err := writeCSVs(s, *csvDir); err != nil {
 			fmt.Fprintln(os.Stderr, "grid3sim: writing CSVs:", err)
@@ -526,7 +507,7 @@ func weeklyPlot(daily *mdviewer.Plot) *mdviewer.Plot {
 
 // sweep runs the multi-seed campaign mode: every seed is an independent
 // scenario fanned across workers, each on its own engine.
-func sweep(seedList string, workers int, benchJSON string, quiet bool, cfg core.ScenarioConfig) error {
+func sweep(seedList string, workers int, jsonPath string, quiet bool, cfg core.ScenarioConfig) error {
 	seeds, err := parseSeeds(seedList)
 	if err != nil {
 		return err
@@ -543,32 +524,11 @@ func sweep(seedList string, workers int, benchJSON string, quiet bool, cfg core.
 				r.MilestonesText, r.Table1Text)
 		}
 	}
-	if benchJSON != "" {
-		rec := benchRecord{
-			Kind:       "grid3sim-sweep",
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Workers:    rep.Workers,
-			Seeds:      seeds,
-			Scale:      cfg.JobScale,
-			Days:       int(cfg.Horizon / (24 * time.Hour)),
-			WallSecs:   rep.Elapsed.Seconds(),
-		}
-		var serial time.Duration
-		for _, r := range rep.Runs {
-			serial += r.Elapsed
-			rec.Events += r.Events
-			rec.Runs = append(rec.Runs, benchRun{
-				Seed: r.Seed, ElapsedSecs: r.Elapsed.Seconds(),
-				Events: r.Events, Jobs: r.Submitted, Records: r.Records,
-			})
-		}
-		rec.SerialSecs = serial.Seconds()
-		rec.Speedup = serial.Seconds() / rec.WallSecs
-		rec.EventsPerSec = float64(rec.Events) / rec.WallSecs
-		if err := writeBenchJSON(benchJSON, rec); err != nil {
+	if jsonPath != "" {
+		if err := writeReportJSON(jsonPath, rep); err != nil {
 			return err
 		}
-		fmt.Printf("\nbench JSON written to %s\n", benchJSON)
+		fmt.Printf("\nsweep JSON written to %s\n", jsonPath)
 	}
 	return nil
 }
@@ -658,40 +618,4 @@ func writeReportJSON(path string, rep interface{ JSON() ([]byte, error) }) error
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// benchRecord is the -json-out bench schema, shared by single runs and
-// sweeps.
-type benchRecord struct {
-	Kind       string  `json:"kind"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Workers    int     `json:"workers"`
-	Seeds      []int64 `json:"seeds"`
-	Scale      float64 `json:"scale"`
-	Days       int     `json:"days"`
-	WallSecs   float64 `json:"wall_seconds"`
-	// SerialSecs sums per-run elapsed times; in sweep mode those are
-	// measured under worker contention, so SerialSecs/Speedup estimate
-	// (and on oversubscribed CPUs overstate) the true serial baseline.
-	SerialSecs   float64    `json:"summed_run_seconds"`
-	Speedup      float64    `json:"speedup_est"`
-	Events       uint64     `json:"events_total"`
-	EventsPerSec float64    `json:"events_per_second"`
-	Runs         []benchRun `json:"runs"`
-}
-
-type benchRun struct {
-	Seed        int64   `json:"seed"`
-	ElapsedSecs float64 `json:"elapsed_seconds"`
-	Events      uint64  `json:"events"`
-	Jobs        int     `json:"jobs"`
-	Records     int     `json:"records"`
-}
-
-func writeBenchJSON(path string, rec benchRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -648,22 +648,6 @@ func (r *SweepReport) Elapsed() time.Duration { return r.rep.Elapsed }
 // Workers returns how many runs executed concurrently.
 func (r *SweepReport) Workers() int { return r.rep.Workers }
 
-// Speedup returns the ratio of summed per-seed runtimes to wall-clock time
-// — the parallel efficiency of the sweep. Per-seed runtimes are measured
-// while the other workers run, so this is an estimate: oversubscribing the
-// CPUs inflates it. For a true speedup, time a workers=1 sweep separately
-// (as BenchmarkSweep does).
-func (r *SweepReport) Speedup() float64 {
-	var serial time.Duration
-	for _, res := range r.rep.Runs {
-		serial += res.Elapsed
-	}
-	if r.rep.Elapsed <= 0 {
-		return 0
-	}
-	return float64(serial) / float64(r.rep.Elapsed)
-}
-
 // Milestones returns one seed's scorecard.
 func (r *SweepReport) Milestones(seed int64) (Milestones, bool) {
 	for _, res := range r.rep.Runs {

@@ -260,6 +260,35 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
+// TestScenarioDayAllocations caps the allocations of one simulated
+// production day at 5% workload scale, assembly included. The ceiling is
+// about 10% above the 557,870 allocations the day made with Go 1.24 when
+// it was set: over the day's 53,514 engine events, a change that adds more
+// than one allocation per event fails here.
+func TestScenarioDayAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario run in -short mode")
+	}
+	const ceiling = 615000
+	allocs := testing.AllocsPerRun(1, func() {
+		s, err := NewScenario(ScenarioConfig{
+			Config:   Config{Seed: 1},
+			Horizon:  24 * time.Hour,
+			JobScale: 0.05,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("scenario day made %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("scenario day made %.0f allocations (ceiling %d)", allocs, ceiling)
+}
+
 func TestScenarioSRMAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario run in -short mode")

@@ -16,17 +16,15 @@ import (
 // counters, and scheduler facts. Normalize zeroes them so two runs of the
 // same spec diff clean everywhere else.
 var wallClockKeys = map[string]bool{
-	"wall_seconds":       true,
-	"elapsed_seconds":    true,
-	"events_per_second":  true,
-	"ns_per_sim_day":     true,
-	"mallocs":            true,
-	"alloc_bytes":        true,
-	"bytes_per_event":    true,
-	"gomaxprocs":         true,
-	"workers":            true,
-	"speedup_est":        true,
-	"summed_run_seconds": true,
+	"wall_seconds":      true,
+	"elapsed_seconds":   true,
+	"events_per_second": true,
+	"ns_per_sim_day":    true,
+	"mallocs":           true,
+	"alloc_bytes":       true,
+	"bytes_per_event":   true,
+	"gomaxprocs":        true,
+	"workers":           true,
 }
 
 // Normalize rewrites a report JSON with every wall-clock field zeroed and

@@ -233,20 +233,90 @@ func TestEngineSlotReuseKeepsStaleHandlesSafe(t *testing.T) {
 	}
 }
 
-func TestEngineScheduleDoesNotAllocate(t *testing.T) {
+// lcgDelays is a deterministic LCG delay stream (0–999 ms), so the churn
+// workloads below replay the identical event schedule on every build.
+type lcgDelays struct{ state uint64 }
+
+func (d *lcgDelays) next() time.Duration {
+	d.state = d.state*6364136223846793005 + 1442695040888963407
+	return time.Duration(d.state>>33%1000) * time.Millisecond
+}
+
+// scheduleStepOp returns one schedule+step pair on an engine whose arena
+// and heap have already grown.
+func scheduleStepOp() func() {
 	e := NewEngine(Grid3Epoch)
 	fn := func() {}
-	// Warm the arena and heap so growth is amortized away.
 	for i := 0; i < 1024; i++ {
 		e.Schedule(time.Duration(i)*time.Millisecond, fn)
 	}
 	e.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
+	return func() {
 		e.Schedule(time.Millisecond, fn)
 		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule+step allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// stepChurnOp returns one step of a churn of 1024 self-rescheduling events
+// (the job/transfer pattern) plus 64 periodic tickers at i·137 ms (the
+// monitoring/negotiation pattern, riding the timer wheel).
+func stepChurnOp() func() {
+	e := NewEngine(Grid3Epoch)
+	delays := &lcgDelays{state: 1}
+	var fn func()
+	fn = func() { e.Schedule(delays.next(), fn) }
+	for i := 0; i < 1024; i++ {
+		e.Schedule(delays.next(), fn)
+	}
+	for i := 0; i < 64; i++ {
+		NewTicker(e, time.Duration(i+1)*137*time.Millisecond, func() {})
+	}
+	return func() { e.Step() }
+}
+
+// cancelChurnOp returns one schedule-then-cancel pair and one step, on an
+// engine churning 256 self-rescheduling events: the batch-system
+// preemption pattern, which exercises lazy discard and compaction.
+func cancelChurnOp() func() {
+	e := NewEngine(Grid3Epoch)
+	delays := &lcgDelays{state: 9}
+	var fn func()
+	fn = func() { e.Schedule(delays.next(), fn) }
+	for i := 0; i < 256; i++ {
+		e.Schedule(delays.next(), fn)
+	}
+	return func() {
+		e.Schedule(delays.next(), func() {}).Cancel()
+		e.Step()
+	}
+}
+
+// The engine's steady state makes no allocation at all: each workload
+// runs 10,000 operations to warm up, then must allocate nothing in the
+// next 10,000.
+func TestEngineScheduleDoesNotAllocate(t *testing.T) {
+	const ops = 10000
+	for _, tc := range []struct {
+		name  string
+		newOp func() func()
+	}{
+		{"schedule+step", scheduleStepOp},
+		{"step churn", stepChurnOp},
+		{"cancel churn", cancelChurnOp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.newOp()
+			// One run of ops operations: AllocsPerRun warms up with a
+			// first run, and its per-run figure is the exact total.
+			allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < ops; i++ {
+					op()
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s made %.0f allocations in %d operations, want 0", tc.name, allocs, ops)
+			}
+		})
 	}
 }
 
@@ -424,6 +494,28 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkEngineStep measures the steady-state cost of one event on
+// stepChurnOp's workload.
+func BenchmarkEngineStep(b *testing.B) {
+	op := stepChurnOp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// BenchmarkEngineCancel measures cancellation churn on cancelChurnOp's
+// workload.
+func BenchmarkEngineCancel(b *testing.B) {
+	op := cancelChurnOp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 }
 
 func TestEnginePendingLiveCountInvariant(t *testing.T) {
