@@ -299,7 +299,7 @@ func BenchmarkGatekeeperLoadModel(b *testing.B) {
 					VO:      vo.USCMS, Executable: "/bin/mc",
 					Walltime: 900 * time.Hour, Runtime: 800 * time.Hour,
 					StagingFactor: tc.staging,
-				}); err != nil {
+				}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,6 +10,7 @@ package apps
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"grid3/internal/dist"
@@ -334,6 +335,20 @@ func (g *Generator) scheduleMonth(mw MonthWindow, targetJobs float64) {
 	arm(mw.Start + g.rng.ExpDuration(meanGap))
 }
 
+// requestID is the ID of a class's n-th request: VO-N with N zero-padded
+// to six digits.
+func requestID(voName string, n int) string {
+	var buf [64]byte
+	b := append(buf[:0], voName...)
+	b = append(b, '-')
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
+
 // emit produces one job request.
 func (g *Generator) emit() {
 	c := &g.class
@@ -352,7 +367,7 @@ func (g *Generator) emit() {
 		walltime = time.Minute
 	}
 	req := Request{
-		ID:            fmt.Sprintf("%s-%06d", c.VO, g.submitted),
+		ID:            requestID(c.VO, g.submitted),
 		VO:            c.VO,
 		User:          g.users[g.rng.Intn(len(g.users))],
 		Runtime:       runtime,

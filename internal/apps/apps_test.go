@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -299,5 +300,14 @@ func TestTransferDemoNeedsTwoSites(t *testing.T) {
 	d.Stop()
 	if svc.calls != 0 {
 		t.Fatal("single-site matrix transferred")
+	}
+}
+
+// requestID writes what the fmt format it replaces wrote.
+func TestRequestIDMatchesFmt(t *testing.T) {
+	for _, n := range []int{0, 1, 99_999_999, 100_000_000, math.MaxInt} {
+		if got, want := requestID("usatlas", n), fmt.Sprintf("%s-%06d", "usatlas", n); got != want {
+			t.Errorf("requestID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }

@@ -123,10 +123,8 @@ type Job struct {
 	State     State
 	Outcome   Outcome
 
-	// OnStart fires when the job begins executing; OnDone fires exactly
-	// once when it leaves the system for any reason.
-	OnStart func(*Job)
-	OnDone  func(*Job)
+	// Owner, when set, is told when the job starts and when it leaves.
+	Owner Owner
 
 	// Parent is the submit-side lifecycle span the run span is linked
 	// under (0 = untraced).
@@ -135,6 +133,18 @@ type Job struct {
 	endEvent sim.Event
 	seq      uint64
 	runSpan  obs.SpanID
+}
+
+// Owner is told of a job's start and end. A job reaches its owner
+// through an interface, not through func fields: the owner is usually a
+// record the submitter already holds per job (a GRAM job), and binding
+// one of its methods to a func field would allocate a closure per job.
+type Owner interface {
+	// JobStarted fires when the job begins executing.
+	JobStarted(*Job)
+	// JobDone fires exactly once when the job leaves the system for any
+	// reason.
+	JobDone(*Job)
 }
 
 // CPUTime returns consumed CPU time (wall occupancy of one slot).
@@ -388,8 +398,8 @@ func (s *System) start(j *Job) {
 	j.endEvent = s.eng.Schedule(execTime, func() {
 		s.stopRunning(j, outcome)
 	})
-	if j.OnStart != nil {
-		j.OnStart(j)
+	if j.Owner != nil {
+		j.Owner.JobStarted(j)
 	}
 }
 
@@ -451,8 +461,8 @@ func (s *System) finish(j *Job, outcome Outcome) {
 		Outcome:   outcome,
 		Walltime:  j.Walltime,
 	})
-	if j.OnDone != nil {
-		j.OnDone(j)
+	if j.Owner != nil {
+		j.Owner.JobDone(j)
 	}
 }
 

@@ -23,18 +23,23 @@ func job(id, vo string, runtime, walltime time.Duration) *Job {
 	return &Job{ID: id, VO: vo, Account: "grp_" + vo, Runtime: runtime, Walltime: walltime}
 }
 
+// recorder is an Owner that logs the IDs it is told about.
+type recorder struct{ started, done []string }
+
+func (r *recorder) JobStarted(j *Job) { r.started = append(r.started, j.ID) }
+func (r *recorder) JobDone(j *Job)    { r.done = append(r.done, j.ID) }
+
 func TestSubmitRunComplete(t *testing.T) {
 	eng, sys := newSys(t, 2)
-	var started, done []string
+	rec := &recorder{}
 	j := job("j1", "usatlas", 2*time.Hour, 4*time.Hour)
-	j.OnStart = func(j *Job) { started = append(started, j.ID) }
-	j.OnDone = func(j *Job) { done = append(done, j.ID) }
+	j.Owner = rec
 	if err := sys.Submit(j); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if len(started) != 1 || len(done) != 1 {
-		t.Fatalf("callbacks: started %v done %v", started, done)
+	if len(rec.started) != 1 || len(rec.done) != 1 {
+		t.Fatalf("callbacks: started %v done %v", rec.started, rec.done)
 	}
 	if j.State != Done || j.Outcome != Completed {
 		t.Fatalf("state %v outcome %v", j.State, j.Outcome)

@@ -288,18 +288,12 @@ func aggregate(results []Result) Aggregate {
 func (rep *Report) Write(w io.Writer) {
 	seeds := make([]string, len(rep.Runs))
 	var events uint64
-	var serial time.Duration
 	for i, r := range rep.Runs {
 		seeds[i] = fmt.Sprint(r.Seed)
 		events += r.Events
-		serial += r.Elapsed
 	}
-	// Per-run elapsed times are measured while other workers share the
-	// CPUs, so their sum estimates (and with more workers than cores,
-	// overstates) the true serial cost — hence "est.".
-	fmt.Fprintf(w, "Campaign sweep: %d seeds {%s} on %d workers in %v (summed seed runtimes %v, est. speedup %.2fx)\n",
-		len(rep.Runs), joinMax(seeds, 8), rep.Workers, rep.Elapsed.Round(time.Millisecond),
-		serial.Round(time.Millisecond), float64(serial)/float64(rep.Elapsed))
+	fmt.Fprintf(w, "Campaign sweep: %d seeds {%s} on %d workers in %v\n",
+		len(rep.Runs), joinMax(seeds, 8), rep.Workers, rep.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "  %d engine events total\n", events)
 	row := func(label string, s Stat, format string) {
 		fmt.Fprintf(w, "  %-24s min "+format+"  mean "+format+"  max "+format+"\n", label, s.Min, s.Mean, s.Max)

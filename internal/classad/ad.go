@@ -4,20 +4,32 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
 
-// Ad is a ClassAd: an unordered set of (attribute, expression) pairs.
-// Attribute names are case-insensitive, as in Condor.
+// Ad is a ClassAd: a set of (attribute, expression) bindings. Attribute
+// names are case-insensitive, as in Condor.
+//
+// The bindings live in a slice sorted by lower-cased name, and a lookup
+// scans it. The largest ad the program builds, a CE ad, has 16 bindings
+// and a job ad 3: a scan of that many names, most of them rejected on
+// length alone, beats hashing the name, and a queued job's ad costs one
+// small array instead of a map.
 //
 // Rank writes a memo to the ad it ranks as TARGET, so one Ad must not be
 // evaluated from two goroutines at once. Parsed expressions are never
 // written and may be shared freely.
 type Ad struct {
-	attrs map[string]Expr
+	attrs []binding // sorted by name; names are unique
 	rank  *rankMemo // allocated the first time this ad is ranked as TARGET
+}
+
+// binding is one attribute of an ad.
+type binding struct {
+	name string // lower-cased
+	expr Expr
 }
 
 // rankMemo remembers the last Rank expression evaluated with the ad as
@@ -34,13 +46,75 @@ type rankMemo struct {
 
 // NewAd returns an empty ad.
 func NewAd() *Ad {
-	return &Ad{attrs: make(map[string]Expr)}
+	return &Ad{}
+}
+
+// lookup returns the expression bound to a name that is already
+// lower-cased, as the parser leaves attribute references.
+func (a *Ad) lookup(name string) (Expr, bool) {
+	for i := range a.attrs {
+		if a.attrs[i].name == name {
+			return a.attrs[i].expr, true
+		}
+	}
+	return nil, false
+}
+
+// index returns the position of name's binding, or -1. An ASCII name is
+// folded to lower case as it is compared, so a lookup by a mixed-case
+// constant such as "FreeCpus" allocates nothing.
+func (a *Ad) index(name string) int {
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			name = strings.ToLower(name)
+			break
+		}
+	}
+	for k := range a.attrs {
+		if equalFold(a.attrs[k].name, name) {
+			return k
+		}
+	}
+	return -1
+}
+
+// equalFold reports whether s, with its ASCII letters lower-cased, is
+// lower.
+func equalFold(lower, s string) bool {
+	if len(lower) != len(s) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// bind stores e in binding i, or, when i is -1, inserts a binding of name
+// at its sorted position.
+func (a *Ad) bind(i int, name string, e Expr) {
+	if i >= 0 {
+		a.attrs[i].expr = e
+	} else {
+		name = strings.ToLower(name)
+		k := 0
+		for k < len(a.attrs) && a.attrs[k].name < name {
+			k++
+		}
+		a.attrs = slices.Insert(a.attrs, k, binding{name: name, expr: e})
+	}
+	a.forgetRank()
 }
 
 // Set binds an attribute to an expression.
 func (a *Ad) Set(name string, e Expr) {
-	a.attrs[strings.ToLower(name)] = e
-	a.forgetRank()
+	a.bind(a.index(name), name, e)
 }
 
 // forgetRank clears the Rank memo. The memo itself is kept, so the next
@@ -55,11 +129,13 @@ func (a *Ad) forgetRank() {
 // already bound (same kind, same content bit for bit) is a no-op, so a
 // refresh that rewrites unchanged values allocates nothing.
 func (a *Ad) SetValue(name string, v Value) {
-	e, _ := a.Get(name)
-	if l, ok := e.(*litExpr); ok && l.v.identical(v) {
-		return
+	i := a.index(name)
+	if i >= 0 {
+		if l, ok := a.attrs[i].expr.(*litExpr); ok && l.v.identical(v) {
+			return
+		}
 	}
-	a.Set(name, &litExpr{v})
+	a.bind(i, name, &litExpr{v})
 }
 
 // SetString, SetInt, SetFloat and SetBool are literal-binding conveniences.
@@ -84,64 +160,49 @@ func (a *Ad) SetExpr(name, src string) error {
 	return nil
 }
 
-// Get returns the bound expression. ASCII names up to 64 bytes fold to
-// lower case in a stack buffer, so a lookup by a mixed-case constant such
-// as "FreeCpus" allocates nothing.
+// Get returns the bound expression.
 func (a *Ad) Get(name string) (Expr, bool) {
-	var buf [64]byte
-	if len(name) > len(buf) {
-		e, ok := a.attrs[strings.ToLower(name)]
-		return e, ok
+	if i := a.index(name); i >= 0 {
+		return a.attrs[i].expr, true
 	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c >= utf8.RuneSelf {
-			e, ok := a.attrs[strings.ToLower(name)]
-			return e, ok
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[i] = c
-	}
-	e, ok := a.attrs[string(buf[:len(name)])]
-	return e, ok
+	return nil, false
 }
 
 // Delete removes an attribute.
 func (a *Ad) Delete(name string) {
-	delete(a.attrs, strings.ToLower(name))
+	if i := a.index(name); i >= 0 {
+		a.attrs = slices.Delete(a.attrs, i, i+1)
+	}
 	a.forgetRank()
 }
 
 // Len returns the number of attributes.
 func (a *Ad) Len() int { return len(a.attrs) }
 
-// Names returns attribute names, sorted.
+// Names returns the lower-cased attribute names, sorted.
 func (a *Ad) Names() []string {
-	out := make([]string, 0, len(a.attrs))
-	for n := range a.attrs {
-		out = append(out, n)
+	out := make([]string, len(a.attrs))
+	for i, b := range a.attrs {
+		out[i] = b.name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Clone returns a shallow copy (expressions are immutable once parsed)
-// without a Rank memo.
+// without a Rank memo. The copy has room for one more binding: a clone is
+// a template that its user completes, as a job ad gains its WallTime, and
+// the spare slot saves growing the bindings to do it.
 func (a *Ad) Clone() *Ad {
-	c := NewAd()
-	for n, e := range a.attrs {
-		c.attrs[n] = e
-	}
-	return c
+	attrs := make([]binding, len(a.attrs), len(a.attrs)+1)
+	copy(attrs, a.attrs)
+	return &Ad{attrs: attrs}
 }
 
 // String renders the ad in old-ClassAd "attr = expr" line syntax.
 func (a *Ad) String() string {
 	var sb strings.Builder
-	for _, n := range a.Names() {
-		fmt.Fprintf(&sb, "%s = %s\n", n, a.attrs[n].String())
+	for _, b := range a.attrs {
+		fmt.Fprintf(&sb, "%s = %s\n", b.name, b.expr.String())
 	}
 	return sb.String()
 }

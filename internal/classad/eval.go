@@ -62,7 +62,7 @@ func (e *attrExpr) eval(ctx evalContext) Value {
 		return evalRef(ctx.target, e.name, ctx)
 	}
 	if ctx.my != nil {
-		if x, ok := ctx.my.attrs[e.name]; ok {
+		if x, ok := ctx.my.lookup(e.name); ok {
 			return evalExpr(x, ctx)
 		}
 	}
@@ -75,7 +75,7 @@ func evalRef(ad *Ad, name string, ctx evalContext) Value {
 	if ad == nil {
 		return UndefinedValue()
 	}
-	x, ok := ad.attrs[name]
+	x, ok := ad.lookup(name)
 	if !ok {
 		return UndefinedValue()
 	}

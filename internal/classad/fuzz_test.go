@@ -3,6 +3,9 @@ package classad
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -227,5 +230,114 @@ func TestEvalMatchesReference(t *testing.T) {
 		data := buf[:rng.Intn(len(buf))]
 		rng.Read(data)
 		checkEval(t, data)
+	}
+}
+
+// adNames mixes cases of the names FuzzParseAd's operations bind, and
+// includes the Kelvin sign, which lower-cases to an ASCII "k".
+var adNames = []string{
+	"Rank", "rank", "RANK", "WallTime", "walltime", "VO", "vo", "Vo",
+	"FreeCpus", "freecpus", "a", "A", "b", "zz", "k", "\u212a",
+}
+
+// adExprs are what Set binds in FuzzParseAd.
+var adExprs = []Expr{
+	MustParse("TARGET.FreeCpus - TARGET.WaitingJobs"), MustParse("1"), MustParse(`"uscms"`),
+	MustParse("a + b"), MustParse("undefined"),
+}
+
+// FuzzParseAd parses arbitrary text as an ad. ParseAd must not panic, and
+// an ad it accepts must survive String and ParseAd with the same names and
+// the same bindings. Then ops drives mixed-case Set, SetValue, Delete and
+// Get on the ad, checked against a map keyed by the lower-cased name.
+func FuzzParseAd(f *testing.F) {
+	f.Add("", []byte{})
+	f.Add("Name = \"UC_ATLAS_Tier2\"\n# comment\n\nCpus = 64\nRank = 10.5 - 0.5\n", []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add("A = 1\na = TARGET.x\nRequirements = stringListMember(TARGET.VO, \"usatlas,uscms\") && TARGET.WallTime <= 86400\n",
+		[]byte{9, 17, 33, 2, 200, 14, 15, 3})
+	f.Add("x = 2.0\ny = -1e3\nz = !true || s == \"\\t\"\n", []byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Fuzz(checkParseAd)
+}
+
+func checkParseAd(t *testing.T, src string, ops []byte) {
+	ad, err := ParseAdString(src)
+	if err != nil {
+		ad = NewAd()
+	} else {
+		text := ad.String()
+		back, err := ParseAdString(text)
+		if err != nil {
+			t.Fatalf("rendered ad does not parse: %v\n%s", err, text)
+		}
+		if got, want := back.Names(), ad.Names(); !slices.Equal(got, want) {
+			t.Fatalf("names %q after the round trip, want %q", got, want)
+		}
+		for _, n := range ad.Names() {
+			a, _ := ad.Get(n)
+			b, _ := back.Get(n)
+			if a.String() != b.String() {
+				t.Fatalf("%s = %s after the round trip, want %s", n, b, a)
+			}
+			if va, vb := Eval(a, ad), Eval(b, back); !sameValue(va, vb) {
+				t.Fatalf("%s evaluates to %v (%v) after the round trip, want %v (%v)",
+					n, vb, vb.Kind(), va, va.Kind())
+			}
+		}
+	}
+
+	model := make(map[string]Expr)
+	for _, n := range ad.Names() {
+		model[n], _ = ad.Get(n)
+	}
+	for len(ops) >= 2 {
+		op, name := ops[0], adNames[int(ops[1])%len(adNames)]
+		ops = ops[2:]
+		key := strings.ToLower(name)
+		switch op % 4 {
+		case 0:
+			e := adExprs[int(op/4)%len(adExprs)]
+			ad.Set(name, e)
+			model[key] = e
+		case 1:
+			v := fuzzLits[int(op/4)%len(fuzzLits)]
+			old, had := model[key]
+			ad.SetValue(name, v)
+			got, _ := ad.Get(name)
+			if l, ok := got.(*litExpr); !ok || !sameValue(l.v, v) {
+				t.Fatalf("SetValue(%q, %v) bound %v", name, v, got)
+			}
+			if l, ok := old.(*litExpr); had && ok && l.v.identical(v) && got != old {
+				t.Fatalf("SetValue(%q, %v) rebound an identical literal", name, v)
+			}
+			model[key] = got
+		case 2:
+			ad.Delete(name)
+			delete(model, key)
+		}
+		got, ok := ad.Get(name)
+		if want, wok := model[key]; ok != wok || got != want {
+			t.Fatalf("Get(%q) = %v, %v; the model has %v, %v", name, got, ok, want, wok)
+		}
+		keys := make([]string, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if names := ad.Names(); !slices.Equal(names, keys) || ad.Len() != len(keys) {
+			t.Fatalf("Names = %q (Len %d), the model has %q", names, ad.Len(), keys)
+		}
+	}
+}
+
+// TestParseAdMatchesModel runs the FuzzParseAd check over rendered random
+// ads and pseudo-random operations, so the plain test suite covers it too.
+func TestParseAdMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 256)
+	for i := 0; i < 2000; i++ {
+		data := buf[:rng.Intn(len(buf))]
+		rng.Read(data)
+		g := &fuzzGen{data: data}
+		checkParseAd(t, g.ad(3).String(), g.data)
 	}
 }

@@ -19,7 +19,7 @@ func Match(a, b *Ad) bool {
 }
 
 func halfMatch(my, target *Ad) bool {
-	req, ok := my.attrs[AttrRequirements]
+	req, ok := my.lookup(AttrRequirements)
 	if !ok {
 		return true
 	}
@@ -36,7 +36,7 @@ func halfMatch(my, target *Ad) bool {
 // same job Rank on every unpinned scan, and Set or Delete on target clears
 // the memo, so a hit returns what evaluation would.
 func Rank(my, target *Ad) float64 {
-	e, ok := my.attrs[AttrRank]
+	e, ok := my.lookup(AttrRank)
 	if !ok {
 		return 0
 	}
@@ -90,7 +90,7 @@ func readsOnlyTarget(e Expr, target *Ad, depth int) bool {
 		if x.scope != scopeTarget {
 			return false
 		}
-		b, ok := target.attrs[x.name]
+		b, ok := target.lookup(x.name)
 		return !ok || readsOnlyTarget(b, target, depth)
 	case *unaryExpr:
 		return readsOnlyTarget(x.x, target, depth)

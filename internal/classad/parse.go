@@ -28,7 +28,7 @@ const (
 
 type attrExpr struct {
 	scope scope
-	name  string // lower-cased by the parser, so it is the Ad's map key
+	name  string // lower-cased by the parser, as Ad stores binding names
 }
 
 type unaryExpr struct {

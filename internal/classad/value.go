@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates value types.
@@ -133,7 +134,13 @@ func (v Value) String() string {
 	case Integer:
 		return strconv.FormatInt(v.i, 10)
 	case Real:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		// A whole number renders without a point; give it one, or it
+		// would read back as an integer. Inf and NaN keep their names.
+		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".eInN") {
+			s += ".0"
+		}
+		return s
 	case String:
 		return strconv.Quote(v.s)
 	}

@@ -113,6 +113,7 @@ type Resource struct {
 	// precedence over Schedd.Exclude when both are set.
 	Excluded func() bool
 
+	schedd   *Schedd // set by AddResource
 	inFlight int
 	// backoffUntil pauses submissions after an overload/down response.
 	backoffUntil time.Duration
@@ -124,10 +125,32 @@ func (r *Resource) full() bool {
 	return r.MaxSubmitted > 0 && r.inFlight >= r.MaxSubmitted
 }
 
+// Owner is told of a grid job's launches and of its end. A job reaches
+// its owner through an interface, not through func fields: the owner is
+// usually one record per submission, and binding its methods to func
+// fields would allocate a closure per job.
+type Owner interface {
+	// JobStarted fires each time the job is launched at a site (Site is
+	// set); a retried job may fire it again.
+	JobStarted(*GridJob)
+	// JobDone fires exactly once on terminal state; err nil on success.
+	JobDone(*GridJob, error)
+}
+
+// DoneFunc adapts a function to an Owner that hears only the job's end.
+type DoneFunc func(*GridJob, error)
+
+// JobStarted implements Owner and does nothing.
+func (DoneFunc) JobStarted(*GridJob) {}
+
+// JobDone implements Owner.
+func (f DoneFunc) JobDone(j *GridJob, err error) { f(j, err) }
+
 // GridJob is one queued grid job. Once it is terminal (Completed or Held)
-// and OnDone has run, the schedd sets Ad, OnStart and OnDone to nil: a
-// finished job keeps only its record (ID, Spec, TargetSite, State, Site,
-// Contact, Attempts, LastErr), which is what Job and HashState read.
+// and its owner has heard, the schedd sets Ad and Owner to nil: a finished
+// job keeps only its record (ID, Spec, TargetSite, State, Site, Contact,
+// Attempts, LastErr), which is what Job and HashState read, and no longer
+// holds the ad or anything its owner holds.
 type GridJob struct {
 	ID   string
 	Ad   *classad.Ad
@@ -137,11 +160,8 @@ type GridJob struct {
 	TargetSite string
 	// MaxRetries bounds grid-level resubmissions after remote failures.
 	MaxRetries int
-	// OnStart fires each time the job is launched at a site (Site is set);
-	// a retried job may fire it again.
-	OnStart func(*GridJob)
-	// OnDone fires exactly once on terminal state; err nil on success.
-	OnDone func(*GridJob, error)
+	// Owner, when set, is told of each launch and of the job's end.
+	Owner Owner
 	// Span is the job's root lifecycle span (0 = untraced); the schedd
 	// parents its match and gram-auth spans under it and forwards it to
 	// the gatekeeper for the run span.
@@ -154,6 +174,9 @@ type GridJob struct {
 	LastErr  error
 
 	matchSpan obs.SpanID // open while the job waits to be placed
+	// res is the resource of the running attempt, whose GRAM state changes
+	// reach the job through StateChanged.
+	res *Resource
 	// avoid marks resources where this job already failed. Keyed by
 	// pointer: membership tests in the candidate scan stay O(1) without
 	// hashing site names, and pointers are stable for the schedd's life.
@@ -242,6 +265,7 @@ func (s *Schedd) AddResource(r *Resource) {
 	if r.Name == "" {
 		r.Name = r.Gatekeeper.Site().Name
 	}
+	r.schedd = s
 	s.resources[r.Name] = r
 	i := sort.Search(len(s.list), func(i int) bool { return s.list[i].Name >= r.Name })
 	s.list = append(s.list, nil)
@@ -285,9 +309,11 @@ func (s *Schedd) Submit(j *GridJob) error {
 	if j.Ad == nil {
 		j.Ad = classad.NewAd()
 	}
-	// Standard attributes every Grid3 job ad carried.
-	j.Ad.SetString("VO", j.Spec.VO)
-	j.Ad.SetInt("WallTime", int64(j.Spec.Walltime/time.Second))
+	// Standard attributes every Grid3 job ad carried. The names are
+	// spelled lower-case, as the ad stores them, so a new binding takes
+	// the constant instead of allocating a folded copy.
+	j.Ad.SetString("vo", j.Spec.VO)
+	j.Ad.SetInt("walltime", int64(j.Spec.Walltime/time.Second))
 	j.State = Idle
 	s.jobs[j.ID] = j
 	j.matchSpan = s.Ins.tracer().Begin(obs.KindMatch, j.Span, j.ID, j.Spec.VO, "")
@@ -470,25 +496,10 @@ func (s *Schedd) Job(id string) (*GridJob, bool) {
 func (s *Schedd) launch(j *GridJob, r *Resource) error {
 	spec := j.Spec
 	spec.Parent = j.Span
-	spec.OnState = func(gj *gram.Job, st gram.JobState) {
-		switch st {
-		case gram.StateDone:
-			s.dropInFlight(r)
-			r.backoffStep = 0
-			j.State = Completed
-			s.completed++
-			if in := s.Ins; in != nil {
-				in.Completed.Inc()
-			}
-			j.retire(nil)
-		case gram.StateFailed:
-			s.dropInFlight(r)
-			s.remoteFailure(j, r, fmt.Errorf("condorg: remote failure at %s: %s", r.Name, gj.FailureReason))
-		}
-	}
+	j.res = r
 	tr := s.Ins.tracer()
 	auth := tr.Begin(obs.KindGramAuth, j.Span, j.ID, spec.VO, r.Name)
-	gj, err := r.Gatekeeper.Submit(spec)
+	gj, err := r.Gatekeeper.Submit(spec, j)
 	if err != nil {
 		tr.Fail(auth, err.Error())
 		// Overload / down gatekeeper: exponential backoff on the
@@ -525,10 +536,31 @@ func (s *Schedd) launch(j *GridJob, r *Resource) error {
 	if in := s.Ins; in != nil {
 		in.Submitted.Inc()
 	}
-	if j.OnStart != nil {
-		j.OnStart(j)
+	if j.Owner != nil {
+		j.Owner.JobStarted(j)
 	}
 	return nil
+}
+
+// StateChanged implements gram.Watcher for the job's running attempt: a
+// GRAM job that ends ends the attempt at j.res.
+func (j *GridJob) StateChanged(gj *gram.Job, st gram.JobState) {
+	r := j.res
+	s := r.schedd
+	switch st {
+	case gram.StateDone:
+		s.dropInFlight(r)
+		r.backoffStep = 0
+		j.State = Completed
+		s.completed++
+		if in := s.Ins; in != nil {
+			in.Completed.Inc()
+		}
+		j.retire(nil)
+	case gram.StateFailed:
+		s.dropInFlight(r)
+		s.remoteFailure(j, r, fmt.Errorf("condorg: remote failure at %s: %s", r.Name, gj.FailureReason))
+	}
 }
 
 // addInFlight and dropInFlight adjust a resource's GridManager occupancy
@@ -580,12 +612,12 @@ func (s *Schedd) remoteFailure(j *GridJob, r *Resource, err error) {
 	j.retire(fmt.Errorf("%w: %v", ErrExhausted, err))
 }
 
-// retire fires OnDone for a job that just reached a terminal state, then
-// drops the ad and callbacks only a live job uses, so the closures and
-// everything they capture do not live as long as the job's record.
+// retire tells the owner of a job that just reached a terminal state,
+// then drops what only a live job uses, so the owner and everything it
+// holds do not live as long as the job's record.
 func (j *GridJob) retire(err error) {
-	if j.OnDone != nil {
-		j.OnDone(j, err)
+	if j.Owner != nil {
+		j.Owner.JobDone(j, err)
 	}
-	j.Ad, j.OnStart, j.OnDone = nil, nil, nil
+	j.Ad, j.Owner, j.res = nil, nil, nil
 }

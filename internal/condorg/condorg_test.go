@@ -90,7 +90,7 @@ func TestSubmitMatchRun(t *testing.T) {
 	var doneErr error
 	done := false
 	j := gridJob("j1", 2*time.Hour)
-	j.OnDone = func(_ *GridJob, err error) { done = true; doneErr = err }
+	j.Owner = DoneFunc(func(_ *GridJob, err error) { done = true; doneErr = err })
 	if err := r.schedd.Submit(j); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRetryAfterRemoteFailure(t *testing.T) {
 	j.Spec.Walltime = time.Hour
 	j.MaxRetries = 1
 	var finalErr error
-	j.OnDone = func(_ *GridJob, err error) { finalErr = err }
+	j.Owner = DoneFunc(func(_ *GridJob, err error) { finalErr = err })
 	r.schedd.Submit(j)
 	r.eng.RunUntil(24 * time.Hour)
 	if j.State != Held {
@@ -215,7 +215,7 @@ func TestAuthFailureDoesNotLoopForever(t *testing.T) {
 	j.Spec.Subject = "/CN=stranger"
 	j.MaxRetries = 1
 	var finalErr error
-	j.OnDone = func(_ *GridJob, err error) { finalErr = err }
+	j.Owner = DoneFunc(func(_ *GridJob, err error) { finalErr = err })
 	r.schedd.Submit(j)
 	r.eng.RunUntil(time.Hour)
 	if j.State != Held || finalErr == nil {
@@ -251,32 +251,51 @@ func TestResourceLookupError(t *testing.T) {
 	}
 }
 
+// hooks is an Owner made of two optional functions.
+type hooks struct {
+	start func(*GridJob)
+	done  func(*GridJob, error)
+}
+
+func (h hooks) JobStarted(j *GridJob) {
+	if h.start != nil {
+		h.start(j)
+	}
+}
+
+func (h hooks) JobDone(j *GridJob, err error) {
+	if h.done != nil {
+		h.done(j, err)
+	}
+}
+
 func TestOnStartFires(t *testing.T) {
 	r := newRig(t)
 	var startedAt []string
 	j := gridJob("hooked", time.Hour)
-	j.OnStart = func(g *GridJob) { startedAt = append(startedAt, g.Site) }
+	j.Owner = hooks{start: func(g *GridJob) { startedAt = append(startedAt, g.Site) }}
 	r.schedd.Submit(j)
 	r.eng.RunUntil(2 * time.Hour)
 	if len(startedAt) != 1 || startedAt[0] == "" {
-		t.Fatalf("OnStart calls = %v", startedAt)
+		t.Fatalf("JobStarted calls = %v", startedAt)
 	}
-	// A retried job fires OnStart again on its second launch.
+	// A retried job tells its owner again on its second launch.
 	j2 := gridJob("retry-hooked", 4*time.Hour)
 	j2.Spec.Walltime = time.Hour // walltime-killed remotely
 	j2.MaxRetries = 1
 	starts := 0
-	j2.OnStart = func(*GridJob) { starts++ }
+	j2.Owner = hooks{start: func(*GridJob) { starts++ }}
 	r.schedd.Submit(j2)
 	r.eng.RunUntil(24 * time.Hour)
 	if starts != 2 {
-		t.Fatalf("retried OnStart fired %d times, want 2", starts)
+		t.Fatalf("retried JobStarted fired %d times, want 2", starts)
 	}
 }
 
 // TestTerminalJobsKeepOnlyTheirRecord: once a job completes or is held,
-// OnDone has fired exactly once and the schedd has dropped the job's ad and
-// callbacks, while Job still reports its state, site, contact and attempts.
+// JobDone has fired exactly once and the schedd has dropped the job's ad,
+// owner and resource, while Job still reports its state, site, contact and
+// attempts.
 func TestTerminalJobsKeepOnlyTheirRecord(t *testing.T) {
 	r := newRig(t)
 	ok := gridJob("ok", time.Hour)
@@ -285,8 +304,7 @@ func TestTerminalJobsKeepOnlyTheirRecord(t *testing.T) {
 	held.MaxRetries = 1
 	dones := map[string]int{}
 	for _, j := range []*GridJob{ok, held} {
-		j.OnStart = func(*GridJob) {}
-		j.OnDone = func(g *GridJob, _ error) { dones[g.ID]++ }
+		j.Owner = hooks{done: func(g *GridJob, _ error) { dones[g.ID]++ }}
 		if err := r.schedd.Submit(j); err != nil {
 			t.Fatal(err)
 		}
@@ -302,11 +320,11 @@ func TestTerminalJobsKeepOnlyTheirRecord(t *testing.T) {
 			t.Fatalf("%s: Job lookup failed", c.id)
 		}
 		if dones[c.id] != 1 {
-			t.Errorf("%s: OnDone fired %d times, want 1", c.id, dones[c.id])
+			t.Errorf("%s: JobDone fired %d times, want 1", c.id, dones[c.id])
 		}
-		if j.Ad != nil || j.OnStart != nil || j.OnDone != nil {
-			t.Errorf("%s: terminal job keeps ad %v, OnStart set %v, OnDone set %v",
-				c.id, j.Ad != nil, j.OnStart != nil, j.OnDone != nil)
+		if j.Ad != nil || j.Owner != nil || j.res != nil {
+			t.Errorf("%s: terminal job keeps ad %v, owner %v, resource %v",
+				c.id, j.Ad != nil, j.Owner != nil, j.res != nil)
 		}
 		if j.State != c.state || j.Attempts != c.attempts || j.Site == "" || j.Contact == "" {
 			t.Errorf("%s: record = state %v attempts %d site %q contact %q, want %v after %d attempts",

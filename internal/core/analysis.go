@@ -43,7 +43,7 @@ func (r *gridDialRunner) RunSubJob(task *dial.Task, job dial.SubJob, done func(*
 			Runtime:       runtime,
 			StagingFactor: 2,
 		},
-		OnDone: func(_ *condorg.GridJob, err error) {
+		Owner: condorg.DoneFunc(func(_ *condorg.GridJob, err error) {
 			if err != nil {
 				done(nil, err)
 				return
@@ -62,7 +62,7 @@ func (r *gridDialRunner) RunSubJob(task *dial.Task, job dial.SubJob, done func(*
 				merged.Merge(h)
 			}
 			done(merged, nil)
-		},
+		}),
 	}
 	sch, ok := r.g.Schedds[r.voName]
 	if !ok {

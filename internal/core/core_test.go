@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -262,14 +263,14 @@ func TestScenarioDeterminism(t *testing.T) {
 
 // TestScenarioDayAllocations caps the allocations of one simulated
 // production day at 5% workload scale, assembly included. The ceiling is
-// about 10% above the 557,870 allocations the day made with Go 1.24 when
-// it was set: over the day's 53,514 engine events, a change that adds more
-// than one allocation per event fails here.
+// about 10% above the 309,799 allocations the day made with Go 1.24 when
+// it was set: over the day's 53,514 engine events, a change that adds
+// more than about 0.6 allocations per event fails here.
 func TestScenarioDayAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario run in -short mode")
 	}
-	const ceiling = 615000
+	const ceiling = 341000
 	allocs := testing.AllocsPerRun(1, func() {
 		s, err := NewScenario(ScenarioConfig{
 			Config:   Config{Seed: 1},
@@ -287,6 +288,84 @@ func TestScenarioDayAllocations(t *testing.T) {
 		t.Fatalf("scenario day made %.0f allocations, ceiling %d", allocs, ceiling)
 	}
 	t.Logf("scenario day made %.0f allocations (ceiling %d)", allocs, ceiling)
+}
+
+// TestSubmitAllocations caps the allocations of one submission into a
+// running grid, six hours into a 1% scenario. A launching job pays for its
+// grid job, ID, ad with its bindings, WallTime literal and submission
+// record, then at the site for the GRAM job, its contact, the batch job
+// and, when a slot is free, the batch job's end event; map and queue
+// growth amortize to a fraction. A job pinned to a saturated site pays
+// only the submit side and waits idle.
+func TestSubmitAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario run in -short mode")
+	}
+	s, err := NewScenario(ScenarioConfig{
+		Config:   Config{Seed: 1},
+		Horizon:  24 * time.Hour,
+		JobScale: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(6 * time.Hour)
+	g := s.Grid
+	sch := g.Schedds[vo.USCMS]
+	req := apps.Request{
+		VO:            vo.USCMS,
+		User:          "/DC=org/DC=DOEGrids/OU=People/CN=uscms admin",
+		Runtime:       time.Hour,
+		Walltime:      2 * time.Hour,
+		StagingFactor: 1,
+	}
+	const runs = 2000
+	submit := func() { g.SubmitJob(req) }
+
+	// The burst, 2001 submissions in one instant, overloads a large
+	// gatekeeper now and then (the submission-rate term of the load
+	// model); such a job waits idle, and the rest launch.
+	launched := sch.SubmittedCount()
+	allocs := testing.AllocsPerRun(runs, submit)
+	if n := sch.SubmittedCount() - launched; n < runs*99/100 {
+		t.Fatalf("only %d of %d jobs launched", n, runs+1)
+	}
+	t.Logf("a launching submission made %v allocations", allocs)
+	if allocs > 12 {
+		t.Errorf("a launching submission made %v allocations, ceiling 12", allocs)
+	}
+
+	// Pin to the VO's first preferred site and submit until one job stays
+	// idle: the site is saturated, and every later pinned job waits.
+	req.Preferred = g.PreferredSitesFor(vo.USCMS)[0]
+	idle := sch.IdleCount()
+	for i := 0; sch.IdleCount() == idle; i++ {
+		if i == 100000 {
+			t.Fatalf("%s never saturated", req.Preferred)
+		}
+		submit()
+	}
+	launched, idle = sch.SubmittedCount(), sch.IdleCount()
+	allocs = testing.AllocsPerRun(runs, submit)
+	if n := sch.IdleCount() - idle; n != runs+1 || sch.SubmittedCount() != launched {
+		t.Fatalf("%d of %d pinned jobs went idle, %d launched", n, runs+1, sch.SubmittedCount()-launched)
+	}
+	t.Logf("an idle pinned submission made %v allocations", allocs)
+	if allocs > 7 {
+		t.Errorf("an idle pinned submission made %v allocations, ceiling 7", allocs)
+	}
+}
+
+// The ID builders write what the fmt formats they replace wrote.
+func TestIDBuildersMatchFmt(t *testing.T) {
+	for _, n := range []int64{0, 1, 99_999_999, 100_000_000, math.MaxInt64} {
+		if got, want := gridJobID("uscms", n), fmt.Sprintf("grid3-%s-%08d", "uscms", n); got != want {
+			t.Errorf("gridJobID(%d) = %q, want %q", n, got, want)
+		}
+		if got, want := localJobID("UC_ATLAS_Tier2", int(n)), fmt.Sprintf("local-%s-%d", "UC_ATLAS_Tier2", n); got != want {
+			t.Errorf("localJobID(%d) = %q, want %q", n, got, want)
+		}
+	}
 }
 
 func TestScenarioSRMAblation(t *testing.T) {

@@ -262,14 +262,9 @@ type Grid struct {
 	stats map[string]*VOStats
 	seq   int64
 
-	// maxWallByVO caches maxWallFor: site walltime policies and the VO
-	// support matrix are fixed at construction, and rescanning every site
-	// per submission is the kind of linear cost that only shows up at
-	// 1000-site scale.
-	maxWallByVO map[string]time.Duration
-	// executableByVO caches executableFor: each VO's jobs share one
-	// application path string instead of every job record holding a copy.
-	executableByVO map[string]string
+	// voJobs caches voJobDefaults: each VO's jobs share one walltime
+	// clamp, one application path and one job ad template.
+	voJobs map[string]*voJobs
 
 	// Concurrency sampling for the §7 peak-jobs and utilization metrics.
 	peakRunning    int
@@ -666,36 +661,53 @@ func (g *Grid) armLocalLoad() {
 		if n.Spec.Dedicated {
 			continue
 		}
-		node := n
-		target := g.RNG.Uniform(0.45, 0.75)
-		seq := 0
-		outstanding := 0 // submitted but not yet finished
-		// Long-lived local jobs model steady campus load without flooding
-		// the event queue. Tracking *outstanding* (not just running) jobs
-		// keeps the queue bounded when grid work saturates the site.
-		sim.NewTicker(g.Eng, 2*time.Hour, func() {
-			want := int(target * float64(node.Batch.Slots()))
-			for i := outstanding; i < want; i++ {
-				seq++
-				runtime := g.RNG.ExpDuration(24 * time.Hour)
-				if runtime > node.Spec.MaxWall-time.Hour {
-					runtime = node.Spec.MaxWall - time.Hour
-				}
-				err := node.Batch.Submit(&batch.Job{
-					ID:       fmt.Sprintf("local-%s-%d", node.Spec.Name, seq),
-					VO:       LocalVO,
-					Account:  "localusers",
-					Runtime:  runtime,
-					Walltime: runtime + time.Hour,
-					OnDone:   func(*batch.Job) { outstanding-- },
-				})
-				if err == nil {
-					outstanding++
-				}
-			}
-		})
+		l := &localLoad{g: g, node: n, target: g.RNG.Uniform(0.45, 0.75)}
+		sim.NewTicker(g.Eng, 2*time.Hour, l.refill)
 	}
 }
+
+// localLoad is one shared site's local-user load, and the owner of its
+// local batch jobs. Long-lived local jobs model steady campus load
+// without flooding the event queue. Tracking *outstanding* (not just
+// running) jobs keeps the queue bounded when grid work saturates the
+// site.
+type localLoad struct {
+	g           *Grid
+	node        *Node
+	target      float64 // fraction of the site's slots to keep busy
+	seq         int
+	outstanding int // submitted but not yet finished
+}
+
+// refill submits local jobs until the outstanding count meets the target.
+func (l *localLoad) refill() {
+	node := l.node
+	want := int(l.target * float64(node.Batch.Slots()))
+	for i := l.outstanding; i < want; i++ {
+		l.seq++
+		runtime := l.g.RNG.ExpDuration(24 * time.Hour)
+		if runtime > node.Spec.MaxWall-time.Hour {
+			runtime = node.Spec.MaxWall - time.Hour
+		}
+		err := node.Batch.Submit(&batch.Job{
+			ID:       localJobID(node.Spec.Name, l.seq),
+			VO:       LocalVO,
+			Account:  "localusers",
+			Runtime:  runtime,
+			Walltime: runtime + time.Hour,
+			Owner:    l,
+		})
+		if err == nil {
+			l.outstanding++
+		}
+	}
+}
+
+// JobStarted implements batch.Owner.
+func (l *localLoad) JobStarted(*batch.Job) {}
+
+// JobDone implements batch.Owner.
+func (l *localLoad) JobDone(*batch.Job) { l.outstanding-- }
 
 // addSite constructs one site's full stack.
 func (g *Grid) addSite(spec SiteSpec) error {
@@ -1019,29 +1031,25 @@ func (g *Grid) SubmitJob(req apps.Request) {
 // (including stage-out and registration), with nil on success. DAG-driven
 // frameworks (MOP) use this to sequence dependent work.
 func (g *Grid) SubmitJobFunc(req apps.Request, onDone func(error)) {
-	notify := func(err error) {
-		if onDone != nil {
-			onDone(err)
-		}
-	}
 	stats := g.Stats(req.VO)
 	stats.Submitted++
 	if err := g.AUP.Check(req.User, req.VO); err != nil {
 		stats.ExecFailures++
-		notify(err)
+		report(onDone, err)
 		return
 	}
 	sch, ok := g.Schedds[req.VO]
 	if !ok {
 		stats.ExecFailures++
-		notify(fmt.Errorf("core: no schedd for VO %s", req.VO))
+		report(onDone, fmt.Errorf("core: no schedd for VO %s", req.VO))
 		return
 	}
 
 	// Clamp the walltime request to the largest queue limit any of the
 	// VO's sites admits; users sized requests to the queues they used.
-	if maxWall := g.maxWallFor(req.VO); maxWall > 0 && req.Walltime > maxWall {
-		req.Walltime = maxWall
+	d := g.voJobDefaults(req.VO)
+	if d.maxWall > 0 && req.Walltime > d.maxWall {
+		req.Walltime = d.maxWall
 	}
 
 	preferred := req.Preferred
@@ -1064,25 +1072,23 @@ func (g *Grid) SubmitJobFunc(req apps.Request, onDone func(error)) {
 				// Fail fast before burning CPU; the production system
 				// resubmits when space frees.
 				stats.SRMDeferred++
-				notify(err)
+				report(onDone, err)
 				return
 			}
 			reservation = res
 		}
 	}
 
-	ad := classad.NewAd()
-	ad.Set("Rank", defaultRank)
 	g.seq++
 	job := &condorg.GridJob{
-		ID:         fmt.Sprintf("grid3-%s-%08d", req.VO, g.seq),
-		Ad:         ad,
+		ID:         gridJobID(req.VO, g.seq),
+		Ad:         d.ad.Clone(),
 		TargetSite: preferred,
 		MaxRetries: 2,
 		Spec: gram.Spec{
 			Subject:       req.User,
 			VO:            req.VO,
-			Executable:    g.executableFor(req.VO),
+			Executable:    d.executable,
 			Walltime:      req.Walltime,
 			Runtime:       req.Runtime,
 			Priority:      req.Priority,
@@ -1092,79 +1098,144 @@ func (g *Grid) SubmitJobFunc(req apps.Request, onDone func(error)) {
 	// Root lifecycle span for the job, with a (synchronous) submit child;
 	// match/gram-auth/run children hang off job.Span down the stack.
 	tr := g.Obs.TracerOf()
-	root := tr.Begin(obs.KindJob, 0, job.ID, req.VO, "")
-	job.Span = root
-	finish := func(err error) {
-		if err != nil {
-			tr.Fail(root, err.Error())
-		} else {
-			tr.End(root)
-		}
-		notify(err)
+	sub := &submission{
+		g:           g,
+		onDone:      onDone,
+		reservation: reservation,
+		root:        tr.Begin(obs.KindJob, 0, job.ID, req.VO, ""),
+		inputBytes:  req.InputBytes,
+		outputBytes: req.OutputBytes,
 	}
-
-	job.OnStart = func(j *condorg.GridJob) {
-		if req.InputBytes > 0 {
-			g.stageIn(req, j.Site, root, j.ID)
-		}
-	}
-	job.OnDone = func(j *condorg.GridJob, err error) {
-		tr.SetSite(root, j.Site)
-		if err != nil {
-			stats.ExecFailures++
-			stats.AttemptFailures += j.Attempts
-			stats.WastedCPU += req.Runtime
-			if reservation != nil {
-				g.releaseReservation(req.VO, reservation)
-			}
-			finish(err)
-			return
-		}
-		// Attempts beyond the first were failures that got retried.
-		stats.AttemptFailures += j.Attempts - 1
-		g.stageOut(req, j, reservation, root, finish)
-	}
-	sub := tr.Begin(obs.KindSubmit, root, job.ID, req.VO, "")
+	job.Span = sub.root
+	job.Owner = sub
+	span := tr.Begin(obs.KindSubmit, sub.root, job.ID, req.VO, "")
 	sch.Submit(job)
-	tr.End(sub)
+	tr.End(span)
+}
+
+// report hands a submission's end-to-end outcome to onDone, if set.
+func report(onDone func(error), err error) {
+	if onDone != nil {
+		onDone(err)
+	}
+}
+
+// submission is what SubmitJobFunc keeps for a queued job besides the
+// job's own record: it owns the grid job, and its methods are the job's
+// callbacks. It reads the VO, runtime, ID and site from the job it is
+// handed, so a job waiting for a site costs this one small record and no
+// closures.
+type submission struct {
+	g           *Grid
+	onDone      func(error)
+	reservation *srm.Reservation // SRM archive space held for the output
+	root        obs.SpanID       // the job's lifecycle span
+	inputBytes  int64
+	outputBytes int64
+}
+
+// JobStarted implements condorg.Owner: each launch stages the input in.
+func (s *submission) JobStarted(j *condorg.GridJob) {
+	if s.inputBytes > 0 {
+		s.g.stageIn(j.Spec.VO, s.inputBytes, j.Site, s.root, j.ID)
+	}
+}
+
+// JobDone implements condorg.Owner: a job that ran archives its output,
+// and one that failed every attempt is counted as wasted.
+func (s *submission) JobDone(j *condorg.GridJob, err error) {
+	g := s.g
+	g.Obs.TracerOf().SetSite(s.root, j.Site)
+	stats := g.Stats(j.Spec.VO)
+	if err != nil {
+		stats.ExecFailures++
+		stats.AttemptFailures += j.Attempts
+		stats.WastedCPU += j.Spec.Runtime
+		if s.reservation != nil {
+			g.releaseReservation(j.Spec.VO, s.reservation)
+		}
+		s.finish(err)
+		return
+	}
+	// Attempts beyond the first were failures that got retried.
+	stats.AttemptFailures += j.Attempts - 1
+	s.stageOut(j)
+}
+
+// finish ends the job's lifecycle span and reports the end-to-end
+// outcome.
+func (s *submission) finish(err error) {
+	tr := s.g.Obs.TracerOf()
+	if err != nil {
+		tr.Fail(s.root, err.Error())
+	} else {
+		tr.End(s.root)
+	}
+	report(s.onDone, err)
 }
 
 // defaultRank prefers emptier sites; parsed once (one parse per job
 // submission showed up in scenario profiles).
 var defaultRank = classad.MustParse("TARGET.FreeCpus - TARGET.WaitingJobs")
 
-// maxWallFor returns the largest MaxWall among sites supporting the VO,
-// computed once per VO (the support matrix and walltime policies are
-// fixed at construction).
-func (g *Grid) maxWallFor(voName string) time.Duration {
-	if d, ok := g.maxWallByVO[voName]; ok {
-		return d
-	}
-	var max time.Duration
-	for _, n := range g.nodeList {
-		if n.Site.SupportsVO(voName) && n.Spec.MaxWall > max {
-			max = n.Spec.MaxWall
-		}
-	}
-	if g.maxWallByVO == nil {
-		g.maxWallByVO = make(map[string]time.Duration)
-	}
-	g.maxWallByVO[voName] = max
-	return max
+// voJobs is what every job of one VO shares. It is computed once per VO:
+// the site walltime policies and the VO support matrix are fixed at
+// construction, and rescanning every site per submission is the kind of
+// linear cost that only shows up at 1000-site scale.
+type voJobs struct {
+	maxWall    time.Duration // the largest MaxWall among the VO's sites
+	executable string        // the VO's application path
+	ad         *classad.Ad   // job ad template binding Rank and VO
 }
 
-// executableFor returns the path of the VO's application, built once per
-// VO.
-func (g *Grid) executableFor(voName string) string {
-	if p, ok := g.executableByVO[voName]; ok {
-		return p
+// voJobDefaults returns the VO's shared job defaults.
+func (g *Grid) voJobDefaults(voName string) *voJobs {
+	if d, ok := g.voJobs[voName]; ok {
+		return d
 	}
-	if g.executableByVO == nil {
-		g.executableByVO = make(map[string]string)
+	d := &voJobs{executable: "/share/app/" + voName + "/run", ad: classad.NewAd()}
+	for _, n := range g.nodeList {
+		if n.Site.SupportsVO(voName) && n.Spec.MaxWall > d.maxWall {
+			d.maxWall = n.Spec.MaxWall
+		}
 	}
-	p := "/share/app/" + voName + "/run"
-	g.executableByVO[voName] = p
-	return p
+	d.ad.Set("Rank", defaultRank)
+	d.ad.SetString("VO", voName)
+	if g.voJobs == nil {
+		g.voJobs = make(map[string]*voJobs)
+	}
+	g.voJobs[voName] = d
+	return d
+}
+
+// gridJobID is the schedd-side ID of a grid job: grid3-VO-N with N
+// zero-padded to eight digits.
+func gridJobID(voName string, seq int64) string {
+	var buf [64]byte
+	b := append(buf[:0], "grid3-"...)
+	b = append(b, voName...)
+	b = append(b, '-')
+	return string(appendPadded(b, seq, 8))
+}
+
+// localJobID is the batch ID of a site's n-th local-user job.
+func localJobID(siteName string, n int) string {
+	var buf [64]byte
+	b := append(buf[:0], "local-"...)
+	b = append(b, siteName...)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
+// appendPadded appends the non-negative n in decimal, zero-padded to width
+// digits, as fmt's %0*d prints it.
+func appendPadded(b []byte, n int64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], n, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // SRM lifecycle pacing (EnableStorageCleanup only): the cleanup sweep runs
@@ -1205,15 +1276,15 @@ func (g *Grid) stageRetryable(attempt int, err error) bool {
 // stageIn moves input data from the VO's archive to the execution site.
 // With recovery on, a transfer that dies on a downed endpoint is retried on
 // the bounded stage schedule.
-func (g *Grid) stageIn(req apps.Request, execSite string, parent obs.SpanID, jobID string) {
-	archive := ArchiveSiteFor(req.VO)
+func (g *Grid) stageIn(voName string, bytes int64, execSite string, parent obs.SpanID, jobID string) {
+	archive := ArchiveSiteFor(voName)
 	if archive == execSite {
 		return
 	}
 	tr := g.Obs.TracerOf()
 	var span obs.SpanID
 	if tr.Enabled() {
-		span = tr.Begin(obs.KindStageIn, parent, jobID, req.VO, execSite)
+		span = tr.Begin(obs.KindStageIn, parent, jobID, voName, execSite)
 	}
 	attempt := 0
 	var start func()
@@ -1233,7 +1304,7 @@ func (g *Grid) stageIn(req apps.Request, execSite string, parent obs.SpanID, job
 	}
 	start = func() {
 		attempt++
-		if _, err := g.Network.StartTraced(archive, execSite, req.InputBytes, req.VO, span,
+		if _, err := g.Network.StartTraced(archive, execSite, bytes, voName, span,
 			func(_ *gridftp.Transfer, err error) { settle(err) }); err != nil {
 			settle(err)
 		}
@@ -1244,20 +1315,21 @@ func (g *Grid) stageIn(req apps.Request, execSite string, parent obs.SpanID, job
 // stageOut archives the job's output: a GridFTP transfer to the Tier1,
 // then a write into its storage element (SRM-managed or raw), then RLS
 // registration. A raw write into a full disk is the §8 failure class.
-func (g *Grid) stageOut(req apps.Request, j *condorg.GridJob, reservation *srm.Reservation, parent obs.SpanID, notify func(error)) {
-	stats := g.Stats(req.VO)
-	if req.OutputBytes <= 0 {
+func (s *submission) stageOut(j *condorg.GridJob) {
+	g, voName, bytes, reservation := s.g, j.Spec.VO, s.outputBytes, s.reservation
+	stats := g.Stats(voName)
+	if bytes <= 0 {
 		stats.Completed++
-		notify(nil)
+		s.finish(nil)
 		return
 	}
-	archiveName := ArchiveSiteFor(req.VO)
+	archiveName := ArchiveSiteFor(voName)
 	archive := g.Nodes[archiveName]
-	lfn := "lfn:" + req.VO + "/" + j.ID
+	lfn := "lfn:" + voName + "/" + j.ID
 	tr := g.Obs.TracerOf()
 	var span obs.SpanID
 	if archive != nil {
-		span = tr.Begin(obs.KindStageOut, parent, j.ID, req.VO, archiveName)
+		span = tr.Begin(obs.KindStageOut, s.root, j.ID, voName, archiveName)
 	}
 	// Bounded delayed retries (recovery mode): a transfer killed by a downed
 	// endpoint restarts from the execution site's scratch copy, and a raw
@@ -1277,24 +1349,24 @@ func (g *Grid) stageOut(req apps.Request, j *condorg.GridJob, reservation *srm.R
 		g.Eng.Schedule(g.stageRetryDelay(retries), again)
 		return true
 	}
-	var finish func(transferErr error)
-	finish = func(transferErr error) {
+	var arrive func(transferErr error)
+	arrive = func(transferErr error) {
 		if transferErr != nil {
 			if tryAgain(transferErr, startTransfer) {
 				return
 			}
 			tr.Fail(span, transferErr.Error())
 			stats.StageOutFailures++
-			stats.WastedCPU += req.Runtime
+			stats.WastedCPU += j.Spec.Runtime
 			if reservation != nil {
-				g.releaseReservation(req.VO, reservation)
+				g.releaseReservation(voName, reservation)
 			}
-			notify(transferErr)
+			s.finish(transferErr)
 			return
 		}
 		var err error
 		if reservation != nil {
-			err = archive.SRM.Put(reservation.ID, lfn, req.OutputBytes)
+			err = archive.SRM.Put(reservation.ID, lfn, bytes)
 			archive.SRM.Release(reservation.ID)
 			if err == nil && g.Cfg.EnableStorageCleanup {
 				// Fresh outputs get a pin so the cleanup sweep cannot evict
@@ -1302,42 +1374,42 @@ func (g *Grid) stageOut(req apps.Request, j *condorg.GridJob, reservation *srm.R
 				archive.SRM.Pin(lfn, archivePinTTL)
 			}
 		} else {
-			err = archive.Site.Disk.Store(lfn, req.OutputBytes, false)
-			if err != nil && tryAgain(err, func() { finish(nil) }) {
+			err = archive.Site.Disk.Store(lfn, bytes, false)
+			if err != nil && tryAgain(err, func() { arrive(nil) }) {
 				return
 			}
 		}
 		if err != nil {
 			tr.Fail(span, err.Error())
 			stats.StageOutFailures++
-			stats.WastedCPU += req.Runtime
-			notify(err)
+			stats.WastedCPU += j.Spec.Runtime
+			s.finish(err)
 			return
 		}
 		archive.archQueue = append(archive.archQueue, lfn)
-		archive.archBytes += req.OutputBytes
-		archive.LRC.Add(lfn, "/data/"+req.VO+"/"+j.ID, req.OutputBytes)
+		archive.archBytes += bytes
+		archive.LRC.Add(lfn, "/data/"+voName+"/"+j.ID, bytes)
 		// §6.1: "A dataset catalog was created for produced samples,
 		// making them available to the DIAL distributed analysis package."
-		g.DIAL.Append(req.VO+".produced", lfn, req.OutputBytes)
+		g.DIAL.Append(voName+".produced", lfn, bytes)
 		tr.End(span)
 		stats.Completed++
-		notify(nil)
+		s.finish(nil)
 	}
 	if archive == nil {
 		stats.Completed++
-		notify(nil)
+		s.finish(nil)
 		return
 	}
 	if j.Site == archiveName {
-		finish(nil)
+		arrive(nil)
 		return
 	}
 	startTransfer = func() {
-		if _, err := g.Network.StartTraced(j.Site, archiveName, req.OutputBytes, req.VO, span, func(_ *gridftp.Transfer, err error) {
-			finish(err)
+		if _, err := g.Network.StartTraced(j.Site, archiveName, bytes, voName, span, func(_ *gridftp.Transfer, err error) {
+			arrive(err)
 		}); err != nil {
-			finish(err)
+			arrive(err)
 		}
 	}
 	startTransfer()

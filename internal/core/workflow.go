@@ -218,10 +218,10 @@ func (g *Grid) computeWork(run *WorkflowRun, cj *pegasus.ConcreteJob, sch *condo
 				Runtime:       runtime,
 				StagingFactor: cj.TR.StagingFactor,
 			},
-			OnDone: func(j *condorg.GridJob, err error) {
+			Owner: condorg.DoneFunc(func(j *condorg.GridJob, err error) {
 				run.JobSites[cj.Name] = j.Site
 				done(err)
-			},
+			}),
 		}
 		if err := sch.Submit(job); err != nil {
 			done(err)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"grid3/internal/batch"
@@ -103,12 +104,18 @@ type Spec struct {
 	// StagingFactor scales gatekeeper load per §6.4: 1 = minimal staging,
 	// 2 = typical, 3-4 = substantial file staging.
 	StagingFactor float64
-	// OnState fires on every state transition.
-	OnState func(*Job, JobState)
 	// Parent is the submit-side lifecycle span this job runs under
 	// (0 = untraced); the gatekeeper forwards it to the batch system so
 	// the run span links back to the grid job.
 	Parent obs.SpanID
+}
+
+// Watcher is told of a job's state transitions. Condor-G passes its grid
+// job, the record it already keeps per job, so a submission allocates no
+// callback. The watcher is an argument of Submit rather than a Spec
+// field: the Spec describes the job, and the grid job keeps a copy of it.
+type Watcher interface {
+	StateChanged(*Job, JobState)
 }
 
 // Validate checks the spec.
@@ -137,10 +144,11 @@ type Job struct {
 	// FailureReason is set when State == StateFailed.
 	FailureReason string
 
-	batchJob *batch.Job
-	// Position in the gatekeeper's active set while PENDING/ACTIVE.
-	activeIdx int
-	inActive  bool
+	gk      *Gatekeeper
+	watcher Watcher
+	// activeSlot is the job's index in the gatekeeper's active set plus
+	// one; 0 while the job is not PENDING or ACTIVE.
+	activeSlot int
 }
 
 // Gatekeeper fronts one site's batch system.
@@ -221,27 +229,26 @@ func (g *Gatekeeper) Load() float64 {
 }
 
 // trackActive and untrackActive maintain the PENDING/ACTIVE set with
-// O(1) swap-removal; activeIdx pins each job's slot.
+// O(1) swap-removal; activeSlot pins each job's slot.
 func (g *Gatekeeper) trackActive(j *Job) {
-	if j.inActive {
+	if j.activeSlot != 0 {
 		return
 	}
-	j.inActive = true
-	j.activeIdx = len(g.active)
 	g.active = append(g.active, j)
+	j.activeSlot = len(g.active)
 }
 
 func (g *Gatekeeper) untrackActive(j *Job) {
-	if !j.inActive {
+	if j.activeSlot == 0 {
 		return
 	}
 	last := len(g.active) - 1
-	k := j.activeIdx
+	k := j.activeSlot - 1
 	g.active[k] = g.active[last]
-	g.active[k].activeIdx = k
+	g.active[k].activeSlot = k + 1
 	g.active[last] = nil
 	g.active = g.active[:last]
-	j.inActive = false
+	j.activeSlot = 0
 }
 
 // decayRate ages the submission-rate estimator with a one-minute
@@ -270,8 +277,9 @@ func (g *Gatekeeper) CompletedCount() int { return g.completed }
 func (g *Gatekeeper) FailedCount() int { return g.failed }
 
 // Submit authenticates, authorizes, and enqueues a job. It returns the
-// GRAM job (with contact ID) or an error.
-func (g *Gatekeeper) Submit(spec Spec) (*Job, error) {
+// GRAM job (with contact ID) or an error. w, when not nil, is told of
+// every state transition of the job.
+func (g *Gatekeeper) Submit(spec Spec, w Watcher) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		g.rejected++
 		if in := g.Ins; in != nil {
@@ -288,13 +296,13 @@ func (g *Gatekeeper) Submit(spec Spec) (*Job, error) {
 	}
 	g.decayRate()
 	g.submitRate++
-	if g.Load() > g.OverloadThreshold {
+	if load := g.Load(); load > g.OverloadThreshold {
 		g.rejected++
 		if in := g.Ins; in != nil {
 			in.RejectedOverload.Inc()
 		}
 		return nil, fmt.Errorf("%w: load %.0f > %.0f at %s",
-			ErrOverloaded, g.Load(), g.OverloadThreshold, g.site.Name)
+			ErrOverloaded, load, g.OverloadThreshold, g.site.Name)
 	}
 	acct, err := g.gridmap.Lookup(spec.Subject)
 	if err != nil {
@@ -323,8 +331,8 @@ func (g *Gatekeeper) Submit(spec Spec) (*Job, error) {
 	}
 
 	g.nextID++
-	id := fmt.Sprintf("https://%s:2119/%d", g.site.Host, g.nextID)
-	j := &Job{ID: id, Spec: spec, State: StateUnsubmitted, Account: acct}
+	id := contactID(g.site.Host, g.nextID)
+	j := &Job{ID: id, Spec: spec, State: StateUnsubmitted, Account: acct, gk: g, watcher: w}
 
 	bj := &batch.Job{
 		ID:       id,
@@ -334,21 +342,8 @@ func (g *Gatekeeper) Submit(spec Spec) (*Job, error) {
 		Runtime:  spec.Runtime,
 		Priority: spec.Priority,
 		Parent:   spec.Parent,
-		OnStart: func(*batch.Job) {
-			g.transition(j, StateActive)
-		},
-		OnDone: func(b *batch.Job) {
-			if b.Outcome == batch.Completed {
-				g.completed++
-				g.transition(j, StateDone)
-			} else {
-				g.failed++
-				j.FailureReason = b.Outcome.String()
-				g.transition(j, StateFailed)
-			}
-		},
+		Owner:    j,
 	}
-	j.batchJob = bj
 	if err := g.batch.Submit(bj); err != nil {
 		g.rejected++
 		if in := g.Ins; in != nil {
@@ -369,6 +364,32 @@ func (g *Gatekeeper) Submit(spec Spec) (*Job, error) {
 	return j, nil
 }
 
+// contactID is the GRAM contact of the gatekeeper's n-th job on host,
+// https://host:2119/n.
+func contactID(host string, n int64) string {
+	var buf [64]byte
+	b := append(buf[:0], "https://"...)
+	b = append(b, host...)
+	b = append(b, ":2119/"...)
+	return string(strconv.AppendInt(b, n, 10))
+}
+
+// JobStarted implements batch.Owner: the local job began executing.
+func (j *Job) JobStarted(*batch.Job) { j.gk.transition(j, StateActive) }
+
+// JobDone implements batch.Owner: the local job left the batch system.
+func (j *Job) JobDone(b *batch.Job) {
+	g := j.gk
+	if b.Outcome == batch.Completed {
+		g.completed++
+		g.transition(j, StateDone)
+	} else {
+		g.failed++
+		j.FailureReason = b.Outcome.String()
+		g.transition(j, StateFailed)
+	}
+}
+
 // transition applies a state change, never moving backwards from a
 // terminal state, and fires the callback.
 func (g *Gatekeeper) transition(j *Job, to JobState) {
@@ -385,8 +406,8 @@ func (g *Gatekeeper) transition(j *Job, to JobState) {
 	case StateDone, StateFailed:
 		g.untrackActive(j)
 	}
-	if j.Spec.OnState != nil {
-		j.Spec.OnState(j, to)
+	if j.watcher != nil {
+		j.watcher.StateChanged(j, to)
 	}
 }
 

@@ -3,6 +3,7 @@ package gram
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -39,6 +40,11 @@ func newRig(t *testing.T, slots int) *rig {
 	return &rig{eng: eng, site: st, bs: bs, gk: gk}
 }
 
+// stateLog is a Watcher that records the states it is told of.
+type stateLog []JobState
+
+func (l *stateLog) StateChanged(_ *Job, st JobState) { *l = append(*l, st) }
+
 func spec(subject, vo string, runtime time.Duration) Spec {
 	return Spec{
 		Subject: subject, VO: vo, Executable: "/bin/sim",
@@ -48,10 +54,8 @@ func spec(subject, vo string, runtime time.Duration) Spec {
 
 func TestSubmitLifecycle(t *testing.T) {
 	r := newRig(t, 2)
-	var states []JobState
-	s := spec("/CN=atlas-prod", "usatlas", 2*time.Hour)
-	s.OnState = func(_ *Job, st JobState) { states = append(states, st) }
-	j, err := r.gk.Submit(s)
+	var states stateLog
+	j, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 2*time.Hour), &states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +78,9 @@ func TestSubmitLifecycle(t *testing.T) {
 
 func TestPendingWhenQueued(t *testing.T) {
 	r := newRig(t, 1)
-	r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 5*time.Hour))
-	var states []JobState
-	s := spec("/CN=atlas-prod", "usatlas", time.Hour)
-	s.OnState = func(_ *Job, st JobState) { states = append(states, st) }
-	j, err := r.gk.Submit(s)
+	r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 5*time.Hour), nil)
+	var states stateLog
+	j, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", time.Hour), &states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +96,15 @@ func TestPendingWhenQueued(t *testing.T) {
 func TestAuthRejections(t *testing.T) {
 	r := newRig(t, 2)
 	// Unknown DN.
-	if _, err := r.gk.Submit(spec("/CN=stranger", "usatlas", time.Hour)); !errors.Is(err, ErrNotAuthorized) {
+	if _, err := r.gk.Submit(spec("/CN=stranger", "usatlas", time.Hour), nil); !errors.Is(err, ErrNotAuthorized) {
 		t.Fatalf("stranger err = %v", err)
 	}
 	// Known DN, unsupported VO at site.
-	if _, err := r.gk.Submit(spec("/CN=atlas-prod", "uscms", time.Hour)); !errors.Is(err, ErrNotAuthorized) {
+	if _, err := r.gk.Submit(spec("/CN=atlas-prod", "uscms", time.Hour), nil); !errors.Is(err, ErrNotAuthorized) {
 		t.Fatalf("unsupported VO err = %v", err)
 	}
 	// Known DN claiming the wrong VO (account mismatch).
-	if _, err := r.gk.Submit(spec("/CN=ivdgl-user", "usatlas", time.Hour)); !errors.Is(err, ErrNotAuthorized) {
+	if _, err := r.gk.Submit(spec("/CN=ivdgl-user", "usatlas", time.Hour), nil); !errors.Is(err, ErrNotAuthorized) {
 		t.Fatalf("VO spoof err = %v", err)
 	}
 	if r.gk.Rejected() != 3 {
@@ -120,7 +122,7 @@ func TestSpecValidation(t *testing.T) {
 		{Subject: "/CN=x", VO: "v", Walltime: 1, Runtime: 1, StagingFactor: -1},
 	}
 	for i, s := range bad {
-		if _, err := r.gk.Submit(s); !errors.Is(err, ErrBadSpec) {
+		if _, err := r.gk.Submit(s, nil); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("case %d err = %v", i, err)
 		}
 	}
@@ -129,14 +131,14 @@ func TestSpecValidation(t *testing.T) {
 func TestSiteDownRejectsSubmissions(t *testing.T) {
 	r := newRig(t, 1)
 	r.site.SetHealthy(false)
-	if _, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", time.Hour)); !errors.Is(err, ErrSiteDown) {
+	if _, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", time.Hour), nil); !errors.Is(err, ErrSiteDown) {
 		t.Fatalf("down-site err = %v", err)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	r := newRig(t, 1)
-	j, _ := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 10*time.Hour))
+	j, _ := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 10*time.Hour), nil)
 	r.eng.RunUntil(time.Hour)
 	if err := r.gk.Cancel(j.ID); err != nil {
 		t.Fatal(err)
@@ -156,7 +158,7 @@ func TestWalltimeKillIsFailure(t *testing.T) {
 	r := newRig(t, 1)
 	s := spec("/CN=atlas-prod", "usatlas", 10*time.Hour)
 	s.Walltime = 2 * time.Hour // under-requested
-	j, err := r.gk.Submit(s)
+	j, err := r.gk.Submit(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestLoadModelSustained(t *testing.T) {
 	r := newRig(t, 1000)
 	r.gk.OverloadThreshold = 1e9
 	for i := 0; i < 1000; i++ {
-		if _, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 48*time.Hour)); err != nil {
+		if _, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 48*time.Hour), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +197,7 @@ func TestLoadModelStagingFactor(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s := spec("/CN=atlas-prod", "usatlas", 48*time.Hour)
 		s.StagingFactor = 4 // substantial file staging
-		if _, err := r.gk.Submit(s); err != nil {
+		if _, err := r.gk.Submit(s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +213,7 @@ func TestOverloadRejectsSubmissions(t *testing.T) {
 	r := newRig(t, 5000)
 	overloaded := 0
 	for i := 0; i < 4000; i++ {
-		_, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 48*time.Hour))
+		_, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 48*time.Hour), nil)
 		if errors.Is(err, ErrOverloaded) {
 			overloaded++
 		} else if err != nil {
@@ -233,7 +235,7 @@ func TestSubmissionSpikeLoad(t *testing.T) {
 	r := newRig(t, 10)
 	r.gk.OverloadThreshold = 1e9
 	for i := 0; i < 100; i++ {
-		r.gk.Submit(spec("/CN=atlas-prod", "usatlas", time.Minute))
+		r.gk.Submit(spec("/CN=atlas-prod", "usatlas", time.Minute), nil)
 	}
 	burstLoad := r.gk.Load()
 	sustainedOnly := loadPerJob * 10 // only 10 can be managed at once... queue holds the rest
@@ -251,7 +253,7 @@ func TestFailAllManaged(t *testing.T) {
 	r := newRig(t, 4)
 	var jobs []*Job
 	for i := 0; i < 8; i++ {
-		j, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 10*time.Hour))
+		j, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", 10*time.Hour), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +285,7 @@ func TestContactIDsUnique(t *testing.T) {
 	r := newRig(t, 100)
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
-		j, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", time.Hour))
+		j, err := r.gk.Submit(spec("/CN=atlas-prod", "usatlas", time.Hour), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,6 +295,15 @@ func TestContactIDsUnique(t *testing.T) {
 		seen[j.ID] = true
 		if want := fmt.Sprintf("https://%s:2119/", r.site.Host); len(j.ID) <= len(want) {
 			t.Fatalf("contact format %q", j.ID)
+		}
+	}
+}
+
+// contactID writes what the fmt format it replaces wrote.
+func TestContactIDMatchesFmt(t *testing.T) {
+	for _, n := range []int64{0, 1, 99_999_999, 100_000_000, math.MaxInt64} {
+		if got, want := contactID("atlas.iu.edu", n), fmt.Sprintf("https://%s:2119/%d", "atlas.iu.edu", n); got != want {
+			t.Errorf("contactID(%d) = %q, want %q", n, got, want)
 		}
 	}
 }

@@ -202,13 +202,20 @@ func (r *Repository) History(farm, param string, idx int, from, to time.Duration
 }
 
 // FarmTotal sums the latest values of one parameter across all farms — the
-// repository's grid-wide aggregate view.
+// repository's grid-wide aggregate view. It adds them in farm-name order:
+// a float sum depends on its order, and map order changes from call to
+// call.
 func (r *Repository) FarmTotal(param string) float64 {
-	t := 0.0
+	var farms []Metric
 	for _, m := range r.last {
 		if m.Param == param {
-			t += m.Value
+			farms = append(farms, m)
 		}
+	}
+	sort.Slice(farms, func(i, j int) bool { return farms[i].Farm < farms[j].Farm })
+	t := 0.0
+	for _, m := range farms {
+		t += m.Value
 	}
 	return t
 }

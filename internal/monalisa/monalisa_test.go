@@ -117,6 +117,22 @@ func TestFarmTotal(t *testing.T) {
 	}
 }
 
+// TestFarmTotalOrder: in farm-name order, 1e16 + -1e16 + 1 is 1, while
+// another order loses the 1 to rounding; every call must add in the same
+// order.
+func TestFarmTotalOrder(t *testing.T) {
+	eng := sim.NewEngine(sim.Grid3Epoch)
+	repo := NewRepository(eng)
+	repo.Ingest(Metric{Farm: "a", Param: "load", Time: time.Second, Value: 1e16})
+	repo.Ingest(Metric{Farm: "b", Param: "load", Time: time.Second, Value: -1e16})
+	repo.Ingest(Metric{Farm: "c", Param: "load", Time: time.Second, Value: 1})
+	for i := 0; i < 200; i++ {
+		if got := repo.FarmTotal("load"); got != 1 {
+			t.Fatalf("call %d: FarmTotal = %v, want 1", i, got)
+		}
+	}
+}
+
 // TestLateSampleKeepsLatest: a sample older than its series' last update
 // is refused by the ring, so it must not replace the latest value that
 // Last and FarmTotal report, though live subscribers still receive it.
