@@ -31,7 +31,8 @@
 // needing a restart. -days 0 keeps the default 183-day paper window; after
 // the horizon the daemon stops generating load but keeps answering
 // queries. -json-out writes a final status record ("grid3.serve-status/1")
-// on clean shutdown, following the grid3sim -json-out convention.
+// on clean shutdown, under the versioned-schema convention of the
+// grid3exp reports.
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, and the
 // scenario runs its end-of-run bookkeeping.
@@ -88,6 +89,10 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-every", 6*time.Hour, "simulated time between automatic snapshots (with -checkpoint-dir)")
 	ckptKeep := flag.Int("checkpoint-keep", 3, "snapshots retained in -checkpoint-dir; older ones are pruned")
 	flag.Parse()
+	if *ingestWindow != 0 && *ingestBatch <= 0 {
+		fmt.Fprintln(os.Stderr, "grid3d: -ingest-window needs -ingest-batch")
+		os.Exit(2)
+	}
 
 	cfg := serve.Config{
 		Scenario: core.ScenarioConfig{
@@ -371,7 +376,7 @@ func reloader(svc *serve.Service, path string) func() (map[string]any, error) {
 }
 
 // writeStatusJSON writes the serve layer's versioned status record
-// (serve.StatusSchema) — the -json-out convention shared with grid3sim.
+// (serve.StatusSchema).
 func writeStatusJSON(path string, st serve.Status) error {
 	data, err := serve.StatusJSON(st)
 	if err != nil {

@@ -6,9 +6,9 @@
 //
 //	grid3sim [-seed N] [-scale F] [-days D] [-srm] [-no-failures] [-no-affinity]
 //
-// Multi-seed campaign sweeps fan across CPUs, one engine per worker:
-//
-//	grid3sim -seeds 1,2,3,4 [-parallel N] [-json-out sweep.json]
+// grid3sim runs one scenario. Runs over many seeds or configurations are
+// grid3exp experiments; a "sweep" experiment runs this scenario once per
+// seed and reports min/mean/max across them.
 //
 // Observability (job-lifecycle spans and the metrics registry) is off by
 // default; either flag enables it for the run:
@@ -29,8 +29,8 @@
 // reservation expiry, pins, watermark eviction), and -replica-rank picks
 // Pegasus stage-in sources by live WAN load.
 //
-// Checkpoint/restore: -checkpoint-at pauses a single-seed run at the listed
-// sim times and commits a snapshot to the -checkpoint-out file (capture is a
+// Checkpoint/restore: -checkpoint-at pauses the run at the listed sim
+// times and commits a snapshot to the -checkpoint-out file (capture is a
 // pure read, so the run's output is byte-identical to one that never
 // checkpoints); -restore rebuilds the run from a snapshot file by verified
 // deterministic replay and continues to the horizon, printing the same
@@ -47,13 +47,7 @@
 //
 //	grid3sim -days 20 -scale 0.1 -ingest-batch 256
 //
-// Warm starts fork one checkpointed steady state into variants that share
-// the verified warmup but draw their failure futures from per-variant
-// forward seeds (0 replays the recorded stream):
-//
-//	grid3sim -restore snap.g3 -warm-seeds 0,101,102,103 [-json-out warm.json]
-//
-// Profiling: -cpuprofile writes a CPU profile of a single run (set-up
+// Profiling: -cpuprofile writes a CPU profile of the run (set-up
 // included) and -memprofile writes the allocs profile once the run has
 // finished, after a collection, so in-use space shows what the finished
 // run still holds. Neither changes the printed output:
@@ -61,13 +55,9 @@
 //	grid3sim -sites 1000 -days 1 -quiet -memprofile mem.prof
 //	go tool pprof -sample_index=inuse_space -top mem.prof
 //
-// Report JSON: -json-out writes a sweep's report, grid3.sweep/1 for -seeds
-// (the record grid3exp writes for a sweep experiment) and
-// grid3.warm-start/1 for -warm-seeds. A single run has no report JSON, so
-// -json-out without either is refused.
-//
-// The chaos, testbed-scale, data-plane and ingestion campaigns are
-// declared in experiments/core.json and run by cmd/grid3exp:
+// The multi-seed sweeps and the chaos, testbed-scale, data-plane and
+// ingestion campaigns are declared in experiments/core.json and run by
+// cmd/grid3exp:
 //
 //	grid3exp run experiments/core.json -only chaos
 package main
@@ -79,11 +69,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
-	"grid3/internal/campaign"
 	"grid3/internal/checkpoint"
 	"grid3/internal/core"
 	"grid3/internal/failure"
@@ -93,8 +81,6 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed (same seed, same run)")
-	seedList := flag.String("seeds", "", "comma-separated seed list: sweep all of them in parallel")
-	parallel := flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper's ~290k jobs)")
 	days := flag.Int("days", 183, "scenario length in days")
 	useSRM := flag.Bool("srm", false, "enable SRM space reservation (the §8 lesson)")
@@ -116,11 +102,9 @@ func main() {
 	upgradeStagger := flag.Duration("upgrade-stagger", 0, "tier-to-tier stagger for -upgrade-at (0 = the 48h default)")
 	certLifetime := flag.Duration("cert-lifetime", 0, "arm GSI host-credential expiry storms with this per-site lifetime (0 = off)")
 	certRenewal := flag.Duration("cert-renewal", 0, "mean renewal outage for -cert-lifetime (0 = the 3h default)")
-	jsonOut := flag.String("json-out", "", "write the -seeds or -warm-seeds report JSON to this file")
 	checkpointAt := flag.String("checkpoint-at", "", "comma-separated sim times (e.g. 240h,360h): capture a snapshot at each into -checkpoint-out")
 	checkpointOut := flag.String("checkpoint-out", "", "snapshot file receiving -checkpoint-at captures (the file holds the latest capture)")
 	restorePath := flag.String("restore", "", "restore the run from this snapshot file (verified deterministic replay) and continue")
-	warmSeeds := flag.String("warm-seeds", "", "comma-separated forward failure seeds: fork the -restore snapshot into one variant per seed (0 = replay the recorded stream)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write the allocs profile at the end of the run to this file (in-use space shows what the finished run holds)")
 	flag.Parse()
@@ -149,8 +133,12 @@ func main() {
 		JobScale:        *scale,
 		DisableFailures: *noFailures,
 	}
-	// Wave families: the tuning flags require their arming flag, the same
-	// loud refusal the checkpoint pair gets.
+	// Tuning flags require their arming flag, the same loud refusal the
+	// checkpoint pair gets.
+	if *ingestWindow != 0 && *ingestBatch <= 0 {
+		fmt.Fprintln(os.Stderr, "grid3sim: -ingest-window needs -ingest-batch")
+		os.Exit(2)
+	}
 	if *upgradeStagger != 0 && *upgradeAt == 0 {
 		fmt.Fprintln(os.Stderr, "grid3sim: -upgrade-stagger needs -upgrade-at")
 		os.Exit(2)
@@ -162,9 +150,9 @@ func main() {
 	cfg.UpgradeWave = core.UpgradeWaveConfig{Start: *upgradeAt, Stagger: *upgradeStagger}
 	cfg.CertWave = core.CertWaveConfig{Lifetime: *certLifetime, RenewalDelay: *certRenewal}
 
-	// Checkpoint flags arm the single-run capture loop; both halves are
-	// needed (times without a destination, or a destination with nothing to
-	// capture, are configuration mistakes worth refusing loudly).
+	// Checkpoint flags arm the capture loop; both halves are needed (times
+	// without a destination, or a destination with nothing to capture, are
+	// configuration mistakes worth refusing loudly).
 	if (*checkpointAt == "") != (*checkpointOut == "") {
 		fmt.Fprintln(os.Stderr, "grid3sim: -checkpoint-at and -checkpoint-out go together")
 		os.Exit(2)
@@ -177,43 +165,6 @@ func main() {
 		}
 		cfg.CheckpointAt = at
 		cfg.CheckpointStore = checkpoint.NewFileStore(*checkpointOut)
-	}
-
-	if (*cpuProfile != "" || *memProfile != "") && (*seedList != "" || *warmSeeds != "") {
-		fmt.Fprintln(os.Stderr, "grid3sim: -cpuprofile/-memprofile apply to single runs only")
-		os.Exit(2)
-	}
-	if *jsonOut != "" && *seedList == "" && *warmSeeds == "" {
-		fmt.Fprintln(os.Stderr, "grid3sim: -json-out applies to -seeds and -warm-seeds runs only")
-		os.Exit(2)
-	}
-
-	if *warmSeeds != "" {
-		if *restorePath == "" {
-			fmt.Fprintln(os.Stderr, "grid3sim: -warm-seeds needs a -restore snapshot to fork from")
-			os.Exit(2)
-		}
-		var horizon time.Duration
-		if daysSet {
-			horizon = time.Duration(*days) * 24 * time.Hour
-		}
-		if err := warmStart(*restorePath, *warmSeeds, horizon, *parallel, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "grid3sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *seedList != "" {
-		if *traceOut != "" || *metricsOut != "" {
-			fmt.Fprintln(os.Stderr, "grid3sim: -trace-out/-metrics-out apply to single-seed runs only")
-			os.Exit(1)
-		}
-		if err := sweep(*seedList, *parallel, *jsonOut, *quiet, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "grid3sim:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// Observability outputs: sinks flush when the scenario finishes, so the
@@ -337,9 +288,9 @@ func main() {
 	if *csvDir != "" {
 		if err := writeCSVs(s, *csvDir); err != nil {
 			fmt.Fprintln(os.Stderr, "grid3sim: writing CSVs:", err)
-		} else {
-			fmt.Printf("figure CSVs written to %s\n\n", *csvDir)
+			os.Exit(1)
 		}
+		fmt.Printf("figure CSVs written to %s\n\n", *csvDir)
 	}
 	if *quiet {
 		return
@@ -505,53 +456,6 @@ func weeklyPlot(daily *mdviewer.Plot) *mdviewer.Plot {
 	return out
 }
 
-// sweep runs the multi-seed campaign mode: every seed is an independent
-// scenario fanned across workers, each on its own engine.
-func sweep(seedList string, workers int, jsonPath string, quiet bool, cfg core.ScenarioConfig) error {
-	seeds, err := parseSeeds(seedList)
-	if err != nil {
-		return err
-	}
-	rep, err := campaign.Sweep(campaign.Seeds(seeds, cfg.JobScale, cfg), workers)
-	if err != nil {
-		return err
-	}
-	rep.Write(os.Stdout)
-	if !quiet {
-		for _, r := range rep.Runs {
-			fmt.Printf("\n=== seed %d (%d jobs, %d records, %v) ===\n%s\n%s",
-				r.Seed, r.Submitted, r.Records, r.Elapsed.Round(time.Millisecond),
-				r.MilestonesText, r.Table1Text)
-		}
-	}
-	if jsonPath != "" {
-		if err := writeReportJSON(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\nsweep JSON written to %s\n", jsonPath)
-	}
-	return nil
-}
-
-func parseSeeds(seedList string) ([]int64, error) {
-	var seeds []int64
-	for _, part := range strings.Split(seedList, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -seeds entry %q: %w", part, err)
-		}
-		seeds = append(seeds, n)
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("-seeds %q names no seeds", seedList)
-	}
-	return seeds, nil
-}
-
 // parseDurations parses a comma-separated -checkpoint-at list ("240h,15d"
 // is not valid Go syntax; use hour forms like 240h or 240h30m).
 func parseDurations(list string) ([]time.Duration, error) {
@@ -571,51 +475,4 @@ func parseDurations(list string) ([]time.Duration, error) {
 		return nil, fmt.Errorf("-checkpoint-at %q names no times", list)
 	}
 	return out, nil
-}
-
-// warmStart runs the warm-start campaign: the -restore snapshot forked into
-// one variant per forward seed, every fork sharing the digest-verified
-// warmup prefix.
-func warmStart(snapPath, seedList string, horizon time.Duration, workers int, jsonPath string) error {
-	snap, _, err := checkpoint.Latest(checkpoint.NewFileStore(snapPath))
-	if err != nil {
-		return err
-	}
-	seeds, err := parseSeeds(seedList)
-	if err != nil {
-		return fmt.Errorf("-warm-seeds: %w", err)
-	}
-	variants := make([]campaign.WarmVariant, len(seeds))
-	for i, fs := range seeds {
-		variants[i] = campaign.WarmVariant{
-			Name:        fmt.Sprintf("seed%d", fs),
-			ForwardSeed: fs,
-			Horizon:     horizon,
-		}
-	}
-	rep, err := campaign.WarmStart(campaign.WarmStartConfig{
-		Snapshot: snap,
-		Variants: variants,
-		Workers:  workers,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Write(os.Stdout)
-	if jsonPath != "" {
-		if err := writeReportJSON(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\nwarm-start JSON written to %s\n", jsonPath)
-	}
-	return nil
-}
-
-// writeReportJSON writes any sweep report's versioned JSON rendering.
-func writeReportJSON(path string, rep interface{ JSON() ([]byte, error) }) error {
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -363,8 +363,7 @@ func WithRealTime(pace float64) Option {
 
 // ── Checkpoint options ──────────────────────────────────────────────────
 //
-// Crash-recoverable runs and warm-started campaigns; see the Checkpoint/
-// Restore/WarmStart entry points below.
+// Crash-recoverable runs; see the Checkpoint/Restore entry points below.
 
 // WithCheckpointAt arms mid-run snapshot capture: the scenario pauses at
 // each listed sim time (ascending; past-horizon entries are skipped) and
@@ -599,38 +598,21 @@ var (
 	_ Report = (*ChaosReport)(nil)
 	_ Report = (*ScaleReport)(nil)
 	_ Report = (*DataReport)(nil)
-	_ Report = (*WarmReport)(nil)
 	_ Report = (*IngestReport)(nil)
 )
 
-// SweepConfig shapes a multi-seed production sweep: the same calibrated
-// campaign run once per seed.
-type SweepConfig struct {
-	// Seeds are the campaign seeds, one full run each.
-	Seeds []int64
-	// Scale multiplies every class's job count (0 keeps the scenario
-	// default; 1.0 reproduces the paper's ~290k-job sample per seed).
-	Scale float64
-	// Workers caps sweep parallelism (<=0 means GOMAXPROCS).
-	Workers int
-}
-
-// RunSweep runs the calibrated campaign once per seed, fanned across
-// workers (one discrete-event engine per worker, so every seed's run is
-// bit-for-bit identical to running it alone). Options apply to every run.
-func RunSweep(cfg SweepConfig, opts ...Option) (*SweepReport, error) {
-	runs := campaign.Seeds(cfg.Seeds, cfg.Scale, buildConfig(opts))
-	rep, err := campaign.Sweep(runs, cfg.Workers)
+// Sweep runs the calibrated campaign once per seed, fanned across
+// GOMAXPROCS workers (one discrete-event engine per worker, so every
+// seed's run is bit-for-bit identical to running it alone). Scale
+// multiplies every class's job count (0 keeps the scenario default; 1.0
+// reproduces the paper's ~290k-job sample per seed). Options apply to
+// every run.
+func Sweep(seeds []int64, scale float64, opts ...Option) (*SweepReport, error) {
+	rep, err := campaign.Sweep(campaign.Seeds(seeds, scale, buildConfig(opts)), 0)
 	if err != nil {
 		return nil, err
 	}
 	return &SweepReport{rep: rep}, nil
-}
-
-// Sweep is the positional-argument face of RunSweep, kept for callers of
-// the original signature.
-func Sweep(seeds []int64, scale float64, opts ...Option) (*SweepReport, error) {
-	return RunSweep(SweepConfig{Seeds: seeds, Scale: scale}, opts...)
 }
 
 // Seeds lists the sweep's seeds in run order.
@@ -879,27 +861,6 @@ func SaveSnapshot(st StateStore, snap *Snapshot) (string, error) {
 // chronological); ErrSnapshotNotFound when the store is empty.
 func LatestSnapshot(st StateStore) (*Snapshot, string, error) {
 	return checkpoint.Latest(st)
-}
-
-// Warm-start views: the campaign mode that forks one checkpointed steady
-// state into N variants — shared verified warmup, divergent futures.
-type (
-	// WarmStartConfig shapes a warm-start campaign (snapshot × variants).
-	WarmStartConfig = campaign.WarmStartConfig
-	// WarmVariant is one fork: an optional forward failure seed and an
-	// optional extended horizon.
-	WarmVariant = campaign.WarmVariant
-	// WarmReport is a completed warm-start campaign.
-	WarmReport = campaign.WarmReport
-	// WarmResult is one variant's outcome.
-	WarmResult = campaign.WarmResult
-)
-
-// WarmStart restores the snapshot once per variant (each restore is
-// digest-verified independently) and runs every fork in parallel — error
-// bars over the tail of a campaign without paying for N full warmups.
-func WarmStart(cfg WarmStartConfig) (*WarmReport, error) {
-	return campaign.WarmStart(cfg)
 }
 
 // Service views: the grid as a long-running daemon. Serve assembles a

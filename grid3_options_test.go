@@ -178,31 +178,6 @@ func TestCheckpointFacadeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunSweepMatchesSweep pins the wrapper contract: the legacy positional
-// Sweep is sugar over RunSweep with the same SweepConfig, so both produce
-// identical seeds and aggregates.
-func TestRunSweepMatchesSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep in -short mode")
-	}
-	opts := []Option{WithHorizon(4 * 24 * time.Hour), WithTestbedScale(10)}
-	legacy, err := Sweep([]int64{21, 22}, 0.005, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := RunSweep(SweepConfig{Seeds: []int64{21, 22}, Scale: 0.005}, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := legacy.Seeds(), unified.Seeds(); len(a) != len(b) || a[0] != b[0] || a[1] != b[1] {
-		t.Fatalf("seeds diverged: %v vs %v", a, b)
-	}
-	la, ua := legacy.Aggregate(), unified.Aggregate()
-	if la.JobsCompleted != ua.JobsCompleted || la.Utilization != ua.Utilization {
-		t.Fatalf("aggregates diverged:\nlegacy  %+v\nunified %+v", la, ua)
-	}
-}
-
 // TestReportJSONSchemas checks the unified Report surface: every campaign
 // report satisfies the interface (also pinned at compile time in grid3.go)
 // and its JSON rendering carries the versioned schema plus the frozen kind

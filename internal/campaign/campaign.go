@@ -43,20 +43,19 @@ func Seeds(seeds []int64, scale float64, cfg core.ScenarioConfig) []Run {
 	return runs
 }
 
-// Result captures one run's outputs. Table1Text and MilestonesText are the
-// rendered exhibits, retained verbatim so determinism can be asserted
-// byte-for-byte against a serial run of the same seed.
+// Result captures one run's outputs. Table1Text is the rendered Table 1,
+// retained verbatim so determinism can be asserted byte-for-byte against
+// a serial run of the same seed.
 type Result struct {
-	Seed           int64
-	Scale          float64
-	Elapsed        time.Duration // wall-clock build+run time for this seed
-	Submitted      int
-	Records        int
-	Events         uint64 // engine events processed
-	Milestones     core.Milestones
-	Table1         []acdc.ClassStats
-	Table1Text     string
-	MilestonesText string
+	Seed       int64
+	Scale      float64
+	Elapsed    time.Duration // wall-clock build+run time for this seed
+	Submitted  int
+	Records    int
+	Events     uint64 // engine events processed
+	Milestones core.Milestones
+	Table1     []acdc.ClassStats
+	Table1Text string
 	// StageLatencies holds the run's per-stage span-duration histograms
 	// (stage name → snapshot), nil unless the run had observability on.
 	StageLatencies map[string]obs.HistSnapshot
@@ -212,9 +211,6 @@ func execute(r Run) (Result, error) {
 	var buf bytes.Buffer
 	s.WriteTable1(&buf)
 	res.Table1Text = buf.String()
-	buf.Reset()
-	res.Milestones.Write(&buf)
-	res.MilestonesText = buf.String()
 	if o := s.Grid.Obs; o != nil {
 		res.StageLatencies = o.Metrics.Snapshot().StageLatencies()
 	}

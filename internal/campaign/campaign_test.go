@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -21,9 +22,9 @@ func testCfg() core.ScenarioConfig {
 
 // TestSweepParallelMatchesSerial is the determinism property: sweeping seeds
 // {1..4} across parallel workers must produce byte-identical per-seed
-// Table 1 and Milestones output to running the same seeds one at a time.
-// Each run owns a private engine, so placement on a worker goroutine cannot
-// perturb the discrete-event order.
+// Table 1 output and equal Milestones to running the same seeds one at a
+// time. Each run owns a private engine, so placement on a worker goroutine
+// cannot perturb the discrete-event order.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep scenario in -short mode")
@@ -46,9 +47,9 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 			t.Errorf("seed %d: parallel Table 1 differs from serial:\n--- parallel ---\n%s\n--- serial ---\n%s",
 				p.Seed, p.Table1Text, s.Table1Text)
 		}
-		if p.MilestonesText != s.MilestonesText {
-			t.Errorf("seed %d: parallel Milestones differ from serial:\n--- parallel ---\n%s\n--- serial ---\n%s",
-				p.Seed, p.MilestonesText, s.MilestonesText)
+		if !reflect.DeepEqual(p.Milestones, s.Milestones) {
+			t.Errorf("seed %d: parallel Milestones differ from serial:\nparallel %+v\nserial   %+v",
+				p.Seed, p.Milestones, s.Milestones)
 		}
 		if p.Events != s.Events || p.Submitted != s.Submitted || p.Records != s.Records {
 			t.Errorf("seed %d: counters diverged: parallel {events %d jobs %d records %d}, serial {events %d jobs %d records %d}",

@@ -9,7 +9,6 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 	"runtime"
 	"strconv"
 	"time"
@@ -21,7 +20,6 @@ const (
 	ChaosSchema  = "grid3.chaos-sweep/1"
 	ScaleSchema  = "grid3.scale-sweep/1"
 	DataSchema   = "grid3.data-sweep/1"
-	WarmSchema   = "grid3.warm-start/1"
 	IngestSchema = "grid3.ingest-sweep/2"
 )
 
@@ -293,60 +291,6 @@ func (rep *IngestReport) JSON() ([]byte, error) {
 		AuditWindows:  rep.AuditWindows,
 		AuditVerified: rep.AuditVerified,
 	})
-}
-
-// --- WarmReport ------------------------------------------------------------
-
-type warmVariantJSON struct {
-	Name        string  `json:"name"`
-	ForwardSeed int64   `json:"forward_seed"`
-	HorizonDays float64 `json:"horizon_days"`
-	ElapsedSecs float64 `json:"elapsed_seconds"`
-	Jobs        int     `json:"jobs"`
-	Records     int     `json:"records"`
-	Events      uint64  `json:"events"`
-	PeakJobs    int     `json:"peak_jobs"`
-	Utilization float64 `json:"utilization"`
-	Digest      string  `json:"digest"`
-}
-
-type warmRecordJSON struct {
-	Schema       string            `json:"schema"`
-	Kind         string            `json:"kind"`
-	GoMaxProcs   int               `json:"gomaxprocs"`
-	SnapshotID   string            `json:"snapshot_id"`
-	RestoredSecs float64           `json:"restored_sim_seconds"`
-	Workers      int               `json:"workers"`
-	WallSecs     float64           `json:"wall_seconds"`
-	Variants     []warmVariantJSON `json:"variants"`
-}
-
-// JSON renders the campaign under the grid3.warm-start/1 schema.
-func (rep *WarmReport) JSON() ([]byte, error) {
-	rec := warmRecordJSON{
-		Schema:       WarmSchema,
-		Kind:         "grid3sim-warm",
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		SnapshotID:   rep.SnapshotID,
-		RestoredSecs: rep.SimTime.Seconds(),
-		Workers:      rep.Workers,
-		WallSecs:     rep.Elapsed.Seconds(),
-	}
-	for _, v := range rep.Variants {
-		rec.Variants = append(rec.Variants, warmVariantJSON{
-			Name:        v.Name,
-			ForwardSeed: v.ForwardSeed,
-			HorizonDays: v.Horizon.Hours() / 24,
-			ElapsedSecs: v.Elapsed.Seconds(),
-			Jobs:        v.Submitted,
-			Records:     v.Records,
-			Events:      v.Events,
-			PeakJobs:    v.Milestones.PeakJobs,
-			Utilization: v.Milestones.Utilization,
-			Digest:      fmt.Sprintf("%016x", v.Digest),
-		})
-	}
-	return marshalReport(rec)
 }
 
 // --- DataReport ------------------------------------------------------------

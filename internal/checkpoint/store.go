@@ -19,9 +19,10 @@ var ErrNotFound = errors.New("checkpoint: snapshot not found")
 // checksums, and interpretation belong to Encode/Decode. All methods must be
 // safe for concurrent use.
 //
-// The two in-tree backends mirror the memory-vs-durable split the roadmap
-// calls for: MemStore for tests and warm-start forking, DirStore for
-// crash-recoverable daemons.
+// The in-tree backends mirror the memory-vs-durable split: MemStore for
+// tests and in-process callers of the façade, DirStore for
+// crash-recoverable daemons, and FileStore for grid3sim's single
+// -checkpoint-out file.
 type StateStore interface {
 	// Put durably stores data under id, replacing any existing record.
 	// A Put that returns nil must be all-or-nothing: a crash mid-Put may
@@ -104,9 +105,8 @@ func Prune(st StateStore, keep int) error {
 }
 
 // MemStore is an in-memory StateStore: snapshots live exactly as long as
-// the process. It is the natural backend for tests and for warm-start
-// campaigns that fork variants from a checkpoint taken moments earlier.
-// The zero value is ready to use.
+// the process, so it suits tests and callers that restore within the
+// process that captured. The zero value is ready to use.
 type MemStore struct {
 	mu   sync.Mutex
 	recs map[string][]byte

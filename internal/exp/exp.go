@@ -9,8 +9,9 @@
 // over one checked-in file instead of a drawer of ad-hoc demo scripts.
 //
 // The spec decoder is strict: unknown fields, a wrong schema string,
-// duplicate experiment names, and axes that don't belong to the
-// experiment's mode are rejected with errors naming the offender. Same
+// duplicate experiment names, axes that don't belong to the experiment's
+// mode, out-of-range knobs and repeated axis values are rejected with
+// errors naming the offender. Same
 // spec, same seed, same bytes — wall-clock fields aside, which
 // Normalize zeroes for diffing.
 package exp
@@ -258,11 +259,39 @@ func (e *Experiment) validate() error {
 			return fmt.Errorf("site count %d is not positive", n)
 		}
 	}
+	// A repeated axis value would run a point twice and count it twice in
+	// the min/mean/max.
+	if v, ok := firstRepeat(e.Axes.Seeds); ok {
+		return fmt.Errorf("seed %d is repeated", v)
+	}
+	if v, ok := firstRepeat(e.Axes.Intensities); ok {
+		return fmt.Errorf("intensity %g is repeated", v)
+	}
+	if v, ok := firstRepeat(e.Axes.Sites); ok {
+		return fmt.Errorf("site count %d is repeated", v)
+	}
 	if k.Scale < 0 {
 		return fmt.Errorf("scale %g is negative", k.Scale)
 	}
-	if k.Days < 0 {
-		return fmt.Errorf("days %d is negative", k.Days)
+	// Zero keeps a default; a negative value would fall back to it silently.
+	for _, n := range []struct {
+		name string
+		v    int
+	}{
+		{"days", k.Days},
+		{"testbed_sites", k.TestbedSites},
+		{"doors", k.Doors},
+		{"events", k.Events},
+		{"workers", k.Workers},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("%s %d is negative", n.name, n.v)
+		}
+	}
+	// The watermark is a free-space fraction: above 1 every cleanup sweep
+	// would evict.
+	if k.Watermark < 0 || k.Watermark > 1 {
+		return fmt.Errorf("watermark %g is outside [0, 1]", k.Watermark)
 	}
 	if k.RevokeFraction < 0 || k.RevokeFraction > 1 {
 		return fmt.Errorf("revoke_fraction %g is outside [0, 1]", k.RevokeFraction)
@@ -292,6 +321,19 @@ func (e *Experiment) validate() error {
 		return fmt.Errorf("revoke_fraction needs cert_lifetime")
 	}
 	return nil
+}
+
+// firstRepeat returns the first value that occurs twice in vals.
+func firstRepeat[T comparable](vals []T) (T, bool) {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return v, true
+		}
+		seen[v] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // Experiment returns the named experiment, or nil.

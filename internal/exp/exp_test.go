@@ -139,6 +139,38 @@ func TestDecodeRejects(t *testing.T) {
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"scale": -1}}]}`,
 			"scale -1 is negative"},
+		{"negative testbed sites",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"testbed_sites": -5}}]}`,
+			"testbed_sites -5 is negative"},
+		{"negative doors",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "data", "out": "a.json", "knobs": {"doors": -1}}]}`,
+			"doors -1 is negative"},
+		{"negative events",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "ingest", "out": "a.json", "knobs": {"events": -10}}]}`,
+			"events -10 is negative"},
+		{"negative workers",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"workers": -3}}]}`,
+			"workers -3 is negative"},
+		{"watermark out of range",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "data", "out": "a.json", "knobs": {"watermark": 7}}]}`,
+			"watermark 7 is outside [0, 1]"},
+		{"repeated seed",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "sweep", "out": "a.json", "axes": {"seeds": [1, 1]}}]}`,
+			"seed 1 is repeated"},
+		{"repeated intensity",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "chaos", "out": "a.json", "axes": {"intensities": [2, 4, 2]}}]}`,
+			"intensity 2 is repeated"},
+		{"repeated site count",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "scale", "out": "a.json", "axes": {"sites": [27, 100, 27]}}]}`,
+			"site count 27 is repeated"},
 		{"bad duration",
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"upgrade_at": "2 days"}}]}`,

@@ -397,9 +397,3 @@ func (inj *Injector) Sites() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Reseed swaps the injector's random stream. A warm-start campaign calls
-// this right after restoring a checkpoint: every variant shares the
-// checkpoint's identical, digest-verified warmup prefix, then draws its
-// failure future from its own stream — same steady state, different luck.
-func (inj *Injector) Reseed(rng *dist.RNG) { inj.rng = rng }

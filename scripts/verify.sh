@@ -2,8 +2,8 @@
 # Full verification gate: build, vet, formatting, the complete test suite,
 # and the race detector over the concurrency surfaces (the campaigns'
 # shared fan-out, the shared metrics registry, the health monitor, the
-# serve ingress boundary, the checkpoint store and its concurrent
-# warm-start consumers, and the usage ledger the serve audit routes read).
+# serve ingress boundary, the checkpoint stores' locking, and the usage
+# ledger the serve audit routes read).
 # The engine and Condor-G packages start no goroutines; they stay in the
 # race run so that any concurrency added there is raced from the start.
 #
