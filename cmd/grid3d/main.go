@@ -25,14 +25,17 @@
 //	GET  /api/v1/goc/tickets[/{id}]    iGOC trouble tickets
 //	POST /api/v1/config/reload         re-read -config, apply dynamic fields
 //
-// The -config file is JSON, layered over the flags at startup; at runtime
-// only "pace" applies — POST /api/v1/config/reload or SIGHUP re-reads it,
+// The -config file is JSON, layered over the flags at startup, and read
+// strictly: an unknown field or data after the object stops the boot (exit
+// 1) or fails the reload, leaving the pace as it was. At runtime only
+// "pace" applies — POST /api/v1/config/reload or SIGHUP re-reads it,
 // applies the pace, and reports every other field it had to skip as
 // needing a restart. -days 0 keeps the default 183-day paper window; after
 // the horizon the daemon stops generating load but keeps answering
 // queries. -json-out writes a final status record ("grid3.serve-status/1")
 // on clean shutdown, under the versioned-schema convention of the
-// grid3exp reports.
+// grid3exp reports; a record that cannot be written makes the exit status
+// 1.
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, and the
 // scenario runs its end-of-run bookkeeping.
@@ -55,6 +58,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -243,16 +247,18 @@ func main() {
 		}()
 	}
 
+	// Signals are caught before the daemon says it is serving, so a
+	// SIGTERM sent on that line always gets the graceful shutdown.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+
 	server := &http.Server{Addr: *addr, Handler: handler}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- server.ListenAndServe() }()
 	fmt.Printf("grid3d: serving on %s (seed %d, %d-site testbed flag, pace %.0fx)\n",
 		*addr, cfg.Scenario.Seed, cfg.Scenario.TestbedSites, svc.Pace())
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 
 	for {
 		select {
@@ -295,7 +301,7 @@ func main() {
 				st.SimNow.Round(time.Second), st.Events, st.Accepted, st.Shed)
 			if *jsonOut != "" {
 				if err := writeStatusJSON(*jsonOut, st); err != nil {
-					fmt.Fprintln(os.Stderr, "grid3d: writing status JSON:", err)
+					fatal(fmt.Errorf("writing status JSON: %w", err))
 				}
 			}
 			return
@@ -321,14 +327,23 @@ type fileConfig struct {
 	Days       *int     `json:"days,omitempty"`
 }
 
+// readConfig reads the -config file strictly: an unknown field (a misspelt
+// "pace" would otherwise be dropped without a word) or data after the
+// object is an error.
 func readConfig(path string) (fileConfig, error) {
-	var fc fileConfig
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return fc, err
+		return fileConfig{}, err
 	}
-	if err := json.Unmarshal(data, &fc); err != nil {
-		return fc, fmt.Errorf("parsing %s: %w", path, err)
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var fc fileConfig
+	if err := dec.Decode(&fc); err != nil {
+		return fileConfig{}, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fileConfig{}, fmt.Errorf("parsing %s: data after the config object", path)
 	}
 	return fc, nil
 }

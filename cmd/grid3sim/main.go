@@ -39,6 +39,10 @@
 //	grid3sim -days 20 -scale 0.1 -checkpoint-at 240h -checkpoint-out snap.g3
 //	grid3sim -restore snap.g3
 //
+// A restore replays the snapshot's recorded configuration, so it takes only
+// -days (to extend the horizon), the output and profiling flags, and
+// -checkpoint-at/-checkpoint-out; any other flag exits 2 naming it.
+//
 // Usage ledger: -ingest-batch N (any N > 0; the value is not a batch
 // size) arms the per-VO Merkle usage ledger, which seals one root of
 // per-VO usage per window (-ingest-window, default the monitor
@@ -79,6 +83,14 @@ import (
 	"grid3/internal/obs"
 )
 
+// restoreFlags are the flags a -restore run takes: the snapshot fixes
+// everything else about the run.
+var restoreFlags = map[string]bool{
+	"restore": true, "days": true, "trace-out": true, "metrics-out": true,
+	"checkpoint-at": true, "checkpoint-out": true, "quiet": true, "csv": true,
+	"cpuprofile": true, "memprofile": true,
+}
+
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed (same seed, same run)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper's ~290k jobs)")
@@ -109,11 +121,20 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write the allocs profile at the end of the run to this file (in-use space shows what the finished run holds)")
 	flag.Parse()
 	daysSet := false
+	var notRestorable []string
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "days" {
 			daysSet = true
 		}
+		if !restoreFlags[f.Name] {
+			notRestorable = append(notRestorable, "-"+f.Name)
+		}
 	})
+	if *restorePath != "" && len(notRestorable) > 0 {
+		fmt.Fprintf(os.Stderr, "grid3sim: -restore keeps the snapshot's configuration; drop %s\n",
+			strings.Join(notRestorable, ", "))
+		os.Exit(2)
+	}
 
 	cfg := core.ScenarioConfig{
 		Config: core.Config{

@@ -64,6 +64,10 @@ func TestRefusals(t *testing.T) {
 			"-cert-renewal needs -cert-lifetime"},
 		{"ledger window without the ledger", []string{"-ingest-window", "10m"},
 			"-ingest-window needs -ingest-batch"},
+		// A restore replays the snapshot's configuration; every flag that
+		// would change it is named, the small scenario's own included.
+		{"restore with flags it would ignore", []string{"-restore", "snap.g3", "-seed", "9", "-health"},
+			"-restore keeps the snapshot's configuration; drop -health, -scale, -seed, -sites"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,5 +90,20 @@ func TestCSVWriteFailureExits1(t *testing.T) {
 		"-csv", filepath.Join(file, "csv"))
 	if code != 1 || !strings.Contains(stderr, "writing CSVs") {
 		t.Fatalf("exit %d, stderr %q; want exit 1 and a CSV write error", code, stderr)
+	}
+}
+
+// A restore still takes the flags that leave the recorded run alone.
+func TestRestoreTakesOutputFlags(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snap.g3")
+	code, stderr := grid3sim(t, "-sites", "5", "-scale", "0.001", "-days", "2", "-quiet",
+		"-checkpoint-at", "24h", "-checkpoint-out", snap)
+	if code != 0 {
+		t.Fatalf("checkpointing run: exit %d, stderr %q", code, stderr)
+	}
+	code, stderr = grid3sim(t, "-restore", snap, "-days", "3", "-quiet", "-csv", filepath.Join(dir, "csv"))
+	if code != 0 || !strings.Contains(stderr, "restored") {
+		t.Fatalf("restore: exit %d, stderr %q; want exit 0 and the restore banner", code, stderr)
 	}
 }

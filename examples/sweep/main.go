@@ -39,7 +39,6 @@ func main() {
 	fmt.Println()
 
 	// Per-seed exhibits stay retrievable — here, the first seed's Table 1.
-	if table, ok := rep.Table1Text(seeds[0]); ok {
-		fmt.Printf("seed %d exhibits:\n%s", seeds[0], table)
-	}
+	first := rep.Runs[0]
+	fmt.Printf("seed %d exhibits:\n%s", first.Seed, first.Table1Text)
 }

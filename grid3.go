@@ -23,6 +23,12 @@
 //
 //	rep, err := grid3.Sweep([]int64{1, 2, 3, 4}, 1.0)
 //	rep.Write(os.Stdout)
+//	fmt.Print(rep.Runs[0].Table1Text)
+//
+// The chaos, testbed-scale, data-plane and ingestion campaigns are
+// grid3exp experiments (experiments/core.json), not façade calls. Result
+// types are aliases of the internal ones (Milestones, SweepReport), so
+// their fields read without importing internal packages.
 //
 // The Config/ScenarioConfig structs remain available for callers that
 // prefer to build configuration wholesale; pass them through WithConfig or
@@ -187,7 +193,7 @@ func WithoutTransferDemo() Option {
 
 // WithObservability enables job-lifecycle tracing and the metrics registry
 // without attaching any sink; read the results via Result.Trace and
-// Result.Metrics (or SweepReport.Aggregate's stage latencies).
+// Result.Metrics (or a SweepReport's Agg.StageLatency).
 func WithObservability() Option {
 	return func(c *ScenarioConfig) { c.Config.EnableObservability = true }
 }
@@ -349,9 +355,9 @@ func WithStorageCleanup(watermark float64) Option {
 
 // WithRealTime sets the scaled-real-time compression ratio for Serve: pace
 // virtual seconds advance per wall second (3600 compresses one simulated
-// hour into each wall second). Batch runners (New, RunScenario, the
-// sweeps) ignore it — a batch run always executes as fast as the hardware
-// allows. Zero or negative restores the serve default.
+// hour into each wall second). Batch runners (New, RunScenario, Sweep)
+// ignore it — a batch run always executes as fast as the hardware allows.
+// Zero or negative restores the serve default.
 func WithRealTime(pace float64) Option {
 	return func(c *ScenarioConfig) {
 		if pace < 0 {
@@ -436,39 +442,9 @@ func RunScenario(seed int64, scale float64, opts ...Option) (*Result, error) {
 // Grid3Sites returns the production 27-site catalog.
 func Grid3Sites() []SiteSpec { return core.Grid3Sites() }
 
-// Milestones is the §7 milestones-and-metrics scorecard, the public view of
-// a completed run's headline numbers.
-type Milestones struct {
-	CPUs            int     // catalog peak; target 400, paper 2163/peak 2800+
-	MeanOnlineCPUs  float64 // time-averaged in-service capacity
-	Users           int     // target 10, paper actual 102
-	Applications    int     // target >4, paper actual 10
-	ConcurrentSites int     // sites serving ≥2 VOs' jobs; target >10, actual 17
-	DataTBPerDay    float64 // target 2-3, actual 4
-	Utilization     float64 // target 0.9, actual 0.4-0.7
-	PeakJobs        int     // target 1000, actual 1300
-	SupportFTEs     float64 // target <2 FTEs
-	OpenTickets     int
-	ResolvedMTTR    time.Duration
-	EfficiencyByVO  map[string]float64
-}
-
-func milestonesView(m core.Milestones) Milestones {
-	return Milestones{
-		CPUs:            m.CPUs,
-		MeanOnlineCPUs:  m.MeanOnlineCPUs,
-		Users:           m.Users,
-		Applications:    m.Applications,
-		ConcurrentSites: m.ConcurrentSites,
-		DataTBPerDay:    m.DataTBPerDay,
-		Utilization:     m.Utilization,
-		PeakJobs:        m.PeakJobs,
-		SupportFTEs:     m.SupportFTEs,
-		OpenTickets:     m.OpenTickets,
-		ResolvedMTTR:    m.ResolvedMTTR,
-		EfficiencyByVO:  m.EfficiencyByVO,
-	}
-}
+// Milestones is the §7 milestones-and-metrics scorecard, a completed run's
+// headline numbers.
+type Milestones = core.Milestones
 
 // Result is a completed campaign. It exposes the paper's exhibits without
 // leaking the internal scenario machinery; Scenario() opens the trapdoor
@@ -482,9 +458,7 @@ type Result struct {
 func (r *Result) Scenario() *Scenario { return r.scen }
 
 // Milestones evaluates the §7 scorecard.
-func (r *Result) Milestones() Milestones {
-	return milestonesView(r.scen.ComputeMilestones())
-}
+func (r *Result) Milestones() Milestones { return r.scen.ComputeMilestones() }
 
 // WriteTable1 renders the Table 1 reproduction next to the paper's values.
 func (r *Result) WriteTable1(w io.Writer) { r.scen.WriteTable1(w) }
@@ -522,253 +496,24 @@ func (r *Result) Metrics() *MetricsSnapshot {
 	return nil
 }
 
-// DataTBPerDay returns the run's transfer volume in TB per simulated day,
-// all VO labels — the §7 "2-3 TB/day" milestone quantity.
-func (r *Result) DataTBPerDay() float64 {
-	var bytes int64
-	for _, v := range r.scen.Grid.Network.BytesByLabel() {
-		bytes += v
-	}
-	days := r.scen.Grid.Eng.Now().Hours() / 24
-	if days <= 0 {
-		return 0
-	}
-	return float64(bytes) / float64(1<<40) / days
-}
-
-// DataTBPerDayByVO splits DataTBPerDay by VO label — the Figure 5 traffic
-// accounting over the whole run rather than the SC2003 window.
-func (r *Result) DataTBPerDayByVO() map[string]float64 {
-	out := map[string]float64{}
-	days := r.scen.Grid.Eng.Now().Hours() / 24
-	if days <= 0 {
-		return out
-	}
-	for label, v := range r.scen.Grid.Network.BytesByLabel() {
-		out[label] = float64(v) / float64(1<<40) / days
-	}
-	return out
-}
-
-// SweepStat is a min/mean/max summary across a sweep's seeds.
-type SweepStat struct {
-	Min, Mean, Max float64
-}
-
-// StageQuantiles is one lifecycle stage's cross-seed latency summary
-// (histogram-merged; quantiles are bucket-interpolated estimates).
-type StageQuantiles = campaign.StageQuantiles
-
-// SweepAggregate carries the cross-seed summaries of the headline
-// quantities.
-type SweepAggregate struct {
-	JobsCompleted    SweepStat
-	PeakJobs         SweepStat
-	Utilization      SweepStat
-	DataTBPerDay     SweepStat
-	SupportFTEs      SweepStat
-	ConcurrentVOSite SweepStat
-	EfficiencyByVO   map[string]SweepStat
-	// StageLatency maps lifecycle stage (submit, match, run, ...) to its
-	// merged latency quantiles; nil unless the sweep ran with
-	// WithObservability (or any tracer/metrics sink).
-	StageLatency map[string]StageQuantiles
-}
-
-// SweepReport is a completed multi-seed campaign sweep.
-type SweepReport struct {
-	rep *campaign.Report
-}
-
-// Report is the common surface of every sweep report (SweepReport,
-// ChaosReport, ScaleReport, DataReport): a human-readable rendering and a
-// versioned JSON encoding. The JSON carries a "schema" field
-// ("grid3.<kind>/<version>"); adding fields is compatible within a version,
-// renaming or removing one bumps it.
-type Report interface {
-	// Write renders the report for humans.
-	Write(w io.Writer)
-	// JSON returns the report's versioned wire encoding, newline-terminated.
-	JSON() ([]byte, error)
-}
-
-// Every sweep entry point returns a Report.
-var (
-	_ Report = (*SweepReport)(nil)
-	_ Report = (*ChaosReport)(nil)
-	_ Report = (*ScaleReport)(nil)
-	_ Report = (*DataReport)(nil)
-	_ Report = (*IngestReport)(nil)
-)
+// SweepReport is a completed multi-seed campaign sweep: per-seed results in
+// seed order (Runs, each with its milestones and rendered Table 1), the
+// cross-seed min/mean/max aggregate (Agg), Write for humans, and JSON under
+// the grid3.sweep/1 schema.
+type SweepReport = campaign.Report
 
 // Sweep runs the calibrated campaign once per seed, fanned across
 // GOMAXPROCS workers (one discrete-event engine per worker, so every
 // seed's run is bit-for-bit identical to running it alone). Scale
-// multiplies every class's job count (0 keeps the scenario default; 1.0
-// reproduces the paper's ~290k-job sample per seed). Options apply to
-// every run.
+// multiplies every class's job count (0 keeps the options' scale, else the
+// scenario default; 1.0 reproduces the paper's ~290k-job sample per seed).
+// Options apply to every run.
 func Sweep(seeds []int64, scale float64, opts ...Option) (*SweepReport, error) {
-	rep, err := campaign.Sweep(campaign.Seeds(seeds, scale, buildConfig(opts)), 0)
-	if err != nil {
-		return nil, err
+	cfg := buildConfig(opts)
+	if scale != 0 {
+		cfg.JobScale = scale
 	}
-	return &SweepReport{rep: rep}, nil
-}
-
-// Seeds lists the sweep's seeds in run order.
-func (r *SweepReport) Seeds() []int64 {
-	out := make([]int64, len(r.rep.Runs))
-	for i, res := range r.rep.Runs {
-		out[i] = res.Seed
-	}
-	return out
-}
-
-// Elapsed returns the sweep's wall-clock time.
-func (r *SweepReport) Elapsed() time.Duration { return r.rep.Elapsed }
-
-// Workers returns how many runs executed concurrently.
-func (r *SweepReport) Workers() int { return r.rep.Workers }
-
-// Milestones returns one seed's scorecard.
-func (r *SweepReport) Milestones(seed int64) (Milestones, bool) {
-	for _, res := range r.rep.Runs {
-		if res.Seed == seed {
-			return milestonesView(res.Milestones), true
-		}
-	}
-	return Milestones{}, false
-}
-
-// Table1Text returns one seed's rendered Table 1, byte-identical to the
-// output of a serial run of that seed.
-func (r *SweepReport) Table1Text(seed int64) (string, bool) {
-	for _, res := range r.rep.Runs {
-		if res.Seed == seed {
-			return res.Table1Text, true
-		}
-	}
-	return "", false
-}
-
-// Aggregate returns the cross-seed min/mean/max summaries.
-func (r *SweepReport) Aggregate() SweepAggregate {
-	conv := func(s campaign.Stat) SweepStat { return SweepStat(s) }
-	agg := SweepAggregate{
-		JobsCompleted:    conv(r.rep.Agg.JobsCompleted),
-		PeakJobs:         conv(r.rep.Agg.PeakJobs),
-		Utilization:      conv(r.rep.Agg.Utilization),
-		DataTBPerDay:     conv(r.rep.Agg.DataTBPerDay),
-		SupportFTEs:      conv(r.rep.Agg.SupportFTEs),
-		ConcurrentVOSite: conv(r.rep.Agg.ConcurrentVO),
-		EfficiencyByVO:   map[string]SweepStat{},
-	}
-	for v, s := range r.rep.Agg.EfficiencyByVO {
-		agg.EfficiencyByVO[v] = conv(s)
-	}
-	if len(r.rep.Agg.StageLatency) > 0 {
-		agg.StageLatency = make(map[string]StageQuantiles, len(r.rep.Agg.StageLatency))
-		for stage, q := range r.rep.Agg.StageLatency {
-			agg.StageLatency[stage] = q
-		}
-	}
-	return agg
-}
-
-// Write renders the cross-seed summary report.
-func (r *SweepReport) Write(w io.Writer) { r.rep.Write(w) }
-
-// JSON returns the report under the grid3.sweep/1 schema.
-func (r *SweepReport) JSON() ([]byte, error) { return r.rep.JSON() }
-
-// Chaos-sweep views: the campaign mode that measures how much goodput the
-// closed fault-management loop preserves as failure intensity climbs.
-type (
-	// ChaosSweepConfig shapes a chaos campaign (seeds × intensities, each
-	// point run with and without recovery plus a failure-free reference).
-	ChaosSweepConfig = campaign.ChaosSweepConfig
-	// ChaosReport is a completed chaos sweep with goodput-retention and
-	// MTTD/MTTR curves.
-	ChaosReport = campaign.ChaosReport
-	// ChaosPoint is one (seed, intensity) measurement.
-	ChaosPoint = campaign.ChaosPoint
-	// ChaosOutcome is one run's fault-tolerance scorecard.
-	ChaosOutcome = campaign.ChaosOutcome
-)
-
-// ChaosSweep runs a chaos campaign: for every (seed, intensity) pair, a
-// no-reaction baseline and a closed-loop recovery run, scored against each
-// seed's failure-free reference. Options apply to every run (the sweep
-// overrides the seed, intensity, failure and recovery toggles per run).
-func ChaosSweep(cfg ChaosSweepConfig, opts ...Option) (*ChaosReport, error) {
-	base := buildConfig(opts)
-	cfg.Base = base
-	return campaign.ChaosSweep(cfg)
-}
-
-// Scale-sweep views: the campaign mode that measures simulation cost as
-// the synthetic testbed grows past the historical 27 sites.
-type (
-	// ScaleSweepConfig shapes a scale campaign (site counts × seeds, run
-	// serially so per-point allocation deltas attribute cleanly).
-	ScaleSweepConfig = campaign.ScaleSweepConfig
-	// ScaleReport is a completed scale sweep.
-	ScaleReport = campaign.ScaleReport
-	// ScalePoint is one (sites, seed) measurement.
-	ScalePoint = campaign.ScalePoint
-)
-
-// ScaleSweep measures wall time, event throughput, and allocation volume
-// across testbed sizes. Options apply to every point (the sweep overrides
-// the seed and site count per point).
-func ScaleSweep(cfg ScaleSweepConfig, opts ...Option) (*ScaleReport, error) {
-	cfg.Base = buildConfig(opts)
-	return campaign.ScaleSweep(cfg)
-}
-
-// Ingest-sweep views: the campaign mode that measures the monitoring-
-// ingestion path — a deterministic synthetic metric stream pushed
-// through the repository's per-event Ingest — and audit-verifies a
-// small scenario's usage ledger.
-type (
-	// IngestSweepConfig shapes an ingestion campaign (the synthetic
-	// stream plus the audit-verification scenario leg).
-	IngestSweepConfig = campaign.IngestSweepConfig
-	// IngestReport is a completed ingestion campaign with the events/s
-	// evidence the bench floor gates.
-	IngestReport = campaign.IngestReport
-)
-
-// IngestSweep measures monitoring-ingestion throughput and allocation
-// volume, then audit-verifies every (window, VO) usage proof of a small
-// ledger-armed scenario. Options apply to the audit leg (the sweep
-// overrides its seed, sites, horizon, scale, and ledger toggles).
-func IngestSweep(cfg IngestSweepConfig, opts ...Option) (*IngestReport, error) {
-	cfg.Base = buildConfig(opts)
-	return campaign.IngestSweep(cfg)
-}
-
-// Data-sweep views: the campaign mode that scores the data plane — raw
-// GridFTP baseline against the managed plane (SRM lifecycle, transfer
-// doors, load-ranked replicas) — per seed.
-type (
-	// DataSweepConfig shapes a data campaign (seeds, horizon, door count).
-	DataSweepConfig = campaign.DataSweepConfig
-	// DataReport is a completed data sweep with the TB/day evidence.
-	DataReport = campaign.DataReport
-	// DataPoint is one seed's baseline/managed pair.
-	DataPoint = campaign.DataPoint
-	// DataOutcome is one run's data-plane scorecard.
-	DataOutcome = campaign.DataOutcome
-)
-
-// DataSweep runs a data-plane campaign: for every seed, a raw-GridFTP
-// baseline and a managed run, scored on TB/day, WAN queueing, and SRM
-// lifecycle activity. Options apply to every run (the sweep overrides the
-// seed, horizon, and data-plane toggles per run).
-func DataSweep(cfg DataSweepConfig, opts ...Option) (*DataReport, error) {
-	cfg.Base = buildConfig(opts)
-	return campaign.DataSweep(cfg)
+	return campaign.Sweep(seeds, cfg, 0)
 }
 
 // Checkpoint/restore views: durable snapshots behind a pluggable state
@@ -782,11 +527,6 @@ type (
 	Snapshot = checkpoint.Snapshot
 	// StateStore is the pluggable persistence boundary for snapshots.
 	StateStore = checkpoint.StateStore
-	// RestoreOverrides whitelists what a restore may change relative to the
-	// recorded configuration (extended horizon, fresh sinks, re-armed
-	// checkpointing, pace); the option-based Restore covers the common
-	// cases.
-	RestoreOverrides = core.RestoreOverrides
 )
 
 // Snapshot-integrity errors, for errors.Is against Restore failures.
@@ -824,23 +564,22 @@ func Checkpoint(s *Scenario) (*Snapshot, error) { return s.Checkpoint() }
 // WithTracer/WithMetricsSink sinks, WithCheckpointAt re-arming, and
 // WithRealTime); every other option is ignored, because changing workload,
 // seed, or feature flags would diverge the replay from the checkpointed
-// state. Callers needing the raw whitelist can use core's RestoreOverrides
-// through the RestoreOverrides alias and RestoreWith.
+// state.
 func Restore(snap *Snapshot, opts ...Option) (*Scenario, error) {
-	cfg := buildConfig(opts)
-	return RestoreWith(snap, RestoreOverrides{
+	return core.RestoreScenario(snap, restoreOverrides(buildConfig(opts)))
+}
+
+// restoreOverrides keeps the restore whitelist of an option-built
+// configuration.
+func restoreOverrides(cfg ScenarioConfig) core.RestoreOverrides {
+	return core.RestoreOverrides{
 		Horizon:         cfg.Horizon,
 		TraceSinks:      cfg.TraceSinks,
 		MetricsSinks:    cfg.MetricsSinks,
 		CheckpointAt:    cfg.CheckpointAt,
 		CheckpointStore: cfg.CheckpointStore,
 		RealTimePace:    cfg.RealTimePace,
-	})
-}
-
-// RestoreWith is Restore with the override struct spelled out.
-func RestoreWith(snap *Snapshot, ov RestoreOverrides) (*Scenario, error) {
-	return core.RestoreScenario(snap, ov)
+	}
 }
 
 // EncodeSnapshot serializes a snapshot into the versioned binary format
@@ -901,17 +640,10 @@ func Serve(opts ...Option) (*Server, error) {
 func ServeFrom(snap *Snapshot, opts ...Option) (*Server, error) {
 	cfg := buildConfig(opts)
 	return serve.New(serve.Config{
-		Scenario: cfg,
-		Pace:     cfg.RealTimePace,
-		Restore:  snap,
-		RestoreOverrides: RestoreOverrides{
-			Horizon:         cfg.Horizon,
-			TraceSinks:      cfg.TraceSinks,
-			MetricsSinks:    cfg.MetricsSinks,
-			CheckpointAt:    cfg.CheckpointAt,
-			CheckpointStore: cfg.CheckpointStore,
-			RealTimePace:    cfg.RealTimePace,
-		},
+		Scenario:         cfg,
+		Pace:             cfg.RealTimePace,
+		Restore:          snap,
+		RestoreOverrides: restoreOverrides(cfg),
 	})
 }
 

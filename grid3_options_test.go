@@ -178,9 +178,8 @@ func TestCheckpointFacadeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportJSONSchemas checks the unified Report surface: every campaign
-// report satisfies the interface (also pinned at compile time in grid3.go)
-// and its JSON rendering carries the versioned schema plus the frozen kind
+// TestReportJSONSchemas checks the sweep report's two renderings: Write for
+// humans, and JSON carrying the versioned schema plus the frozen kind
 // string that downstream tooling greps for.
 func TestReportJSONSchemas(t *testing.T) {
 	if testing.Short() {
@@ -190,18 +189,17 @@ func TestReportJSONSchemas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Report = rep
 	var buf strings.Builder
-	r.Write(&buf)
+	rep.Write(&buf)
 	if buf.Len() == 0 {
-		t.Fatal("Report.Write produced nothing")
+		t.Fatal("SweepReport.Write produced nothing")
 	}
-	raw, err := r.JSON()
+	raw, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(string(raw), "\n") {
-		t.Fatal("Report.JSON output is not newline-terminated")
+		t.Fatal("SweepReport.JSON output is not newline-terminated")
 	}
 	var head struct {
 		Schema string `json:"schema"`

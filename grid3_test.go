@@ -127,8 +127,8 @@ func TestRunScenarioResultView(t *testing.T) {
 	}
 }
 
-// TestPublicSweep drives the multi-seed façade: distinct seeds, aggregated
-// stats, and per-seed exhibits retrievable by seed.
+// TestPublicSweep drives the multi-seed façade: runs in seed order at the
+// given scale, aggregated stats, and per-seed exhibits.
 func TestPublicSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
@@ -137,22 +137,21 @@ func TestPublicSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := rep.Seeds()
-	if len(seeds) != 2 || seeds[0] != 11 || seeds[1] != 12 {
-		t.Fatalf("seeds = %v", seeds)
+	if len(rep.Runs) != 2 || rep.Runs[0].Seed != 11 || rep.Runs[1].Seed != 12 {
+		t.Fatalf("runs = %+v", rep.Runs)
 	}
-	t11, ok := rep.Table1Text(11)
-	if !ok || !strings.Contains(t11, "Table 1") {
-		t.Fatalf("Table1Text(11): ok=%v", ok)
+	for _, run := range rep.Runs {
+		if run.Scale != 0.005 {
+			t.Fatalf("seed %d ran at scale %g, want 0.005", run.Seed, run.Scale)
+		}
 	}
-	if _, ok := rep.Table1Text(99); ok {
-		t.Fatal("Table1Text(99) found a seed that never ran")
+	if !strings.Contains(rep.Runs[0].Table1Text, "Table 1") {
+		t.Fatalf("seed 11's Table 1:\n%s", rep.Runs[0].Table1Text)
 	}
-	m, ok := rep.Milestones(12)
-	if !ok || m.Users != 102 {
-		t.Fatalf("Milestones(12) = %+v, ok=%v", m, ok)
+	if m := rep.Runs[1].Milestones; m.Users != 102 {
+		t.Fatalf("seed 12's milestones = %+v", m)
 	}
-	agg := rep.Aggregate()
+	agg := rep.Agg
 	if agg.JobsCompleted.Min <= 0 || agg.JobsCompleted.Min > agg.JobsCompleted.Max {
 		t.Fatalf("aggregate = %+v", agg.JobsCompleted)
 	}

@@ -3,11 +3,12 @@
 // The paper's result is sustained production — 27 sites serving seven
 // application classes for a 183-day sample window — and reproducing it
 // credibly means running the campaign many times: across seeds for error
-// bars, across configurations for ablations. A Sweep runs N (seed, scale,
-// config) scenarios in parallel, one discrete-event Engine per worker
-// goroutine, so each seed's run is bit-for-bit identical to running it
-// alone; only the wall-clock time changes. Aggregation reports min/mean/max
-// across seeds for the Table 1 and §7 milestone quantities.
+// bars, across configurations for ablations. Every mode takes its axes
+// plus one core.ScenarioConfig that rides into each of its runs. A Sweep
+// runs that scenario once per seed in parallel, one discrete-event Engine
+// per worker goroutine, so each seed's run is bit-for-bit identical to
+// running it alone; only the wall-clock time changes. Aggregation reports
+// min/mean/max across seeds for the Table 1 and §7 milestone quantities.
 package campaign
 
 import (
@@ -23,25 +24,6 @@ import (
 	"grid3/internal/core"
 	"grid3/internal/obs"
 )
-
-// Run describes one independent scenario execution. Seed and Scale override
-// the corresponding Config fields; everything else in Config rides along
-// unchanged, so ablation sweeps can vary any scenario knob per run.
-type Run struct {
-	Seed   int64
-	Scale  float64
-	Config core.ScenarioConfig
-}
-
-// Seeds builds the common sweep shape: one run per seed, all at the same
-// scale and configuration.
-func Seeds(seeds []int64, scale float64, cfg core.ScenarioConfig) []Run {
-	runs := make([]Run, len(seeds))
-	for i, seed := range seeds {
-		runs[i] = Run{Seed: seed, Scale: scale, Config: cfg}
-	}
-	return runs
-}
 
 // Result captures one run's outputs. Table1Text is the rendered Table 1,
 // retained verbatim so determinism can be asserted byte-for-byte against
@@ -118,21 +100,23 @@ type Report struct {
 	Agg     Aggregate
 }
 
-// Sweep executes every run, fanning across at most workers goroutines
+// Sweep runs base once per seed, fanning across at most workers goroutines
 // (workers <= 0 means GOMAXPROCS). Each worker owns a private Engine, RNG,
 // and grid, so per-seed determinism is untouched; results come back in
-// input order regardless of completion order. A failed run fails the
-// sweep with the lowest-index error.
-func Sweep(runs []Run, workers int) (*Report, error) {
-	if len(runs) == 0 {
+// seed order regardless of completion order. A failed run fails the sweep
+// with the lowest-index error.
+func Sweep(seeds []int64, base core.ScenarioConfig, workers int) (*Report, error) {
+	if len(seeds) == 0 {
 		return nil, fmt.Errorf("campaign: empty sweep")
 	}
 	start := time.Now()
-	results := make([]Result, len(runs))
-	workers, err := fanOut(len(runs), workers, func(i int) error {
+	results := make([]Result, len(seeds))
+	workers, err := fanOut(len(seeds), workers, func(i int) error {
+		cfg := base
+		cfg.Seed = seeds[i]
 		var err error
-		if results[i], err = execute(runs[i]); err != nil {
-			return fmt.Errorf("campaign: seed %d: %w", runs[i].Seed, err)
+		if results[i], err = execute(cfg); err != nil {
+			return fmt.Errorf("campaign: seed %d: %w", seeds[i], err)
 		}
 		return nil
 	})
@@ -182,24 +166,26 @@ func fanOut(n, workers int, run func(i int) error) (int, error) {
 	return workers, nil
 }
 
-// execute runs one scenario to completion on the calling goroutine.
-func execute(r Run) (Result, error) {
-	cfg := r.Config
-	cfg.Config.Seed = r.Seed
-	if r.Scale != 0 {
-		cfg.JobScale = r.Scale
-	}
-	t0 := time.Now()
+// runScenario builds cfg's scenario and runs it to its horizon on the
+// calling goroutine.
+func runScenario(cfg core.ScenarioConfig) (*core.Scenario, error) {
 	s, err := core.NewScenario(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s, s.Run()
+}
+
+// execute runs one scenario to completion on the calling goroutine.
+func execute(cfg core.ScenarioConfig) (Result, error) {
+	t0 := time.Now()
+	s, err := runScenario(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := s.Run(); err != nil {
-		return Result{}, err
-	}
 	res := Result{
-		Seed:       r.Seed,
-		Scale:      cfg.JobScale,
+		Seed:       s.Cfg.Seed,
+		Scale:      s.Cfg.JobScale,
 		Elapsed:    time.Since(t0),
 		Submitted:  s.SubmittedTotal(),
 		Records:    s.Grid.ACDC.Len(),

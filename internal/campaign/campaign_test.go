@@ -29,16 +29,16 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep scenario in -short mode")
 	}
-	runs := Seeds([]int64{1, 2, 3, 4}, 0.01, testCfg())
-	parallel, err := Sweep(runs, 4)
+	seeds := []int64{1, 2, 3, 4}
+	parallel, err := Sweep(seeds, testCfg(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Sweep(runs, 1)
+	serial, err := Sweep(seeds, testCfg(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range runs {
+	for i := range seeds {
 		p, s := parallel.Runs[i], serial.Runs[i]
 		if p.Seed != s.Seed {
 			t.Fatalf("result order diverged: %d vs %d", p.Seed, s.Seed)
@@ -66,7 +66,7 @@ func TestSweepAggregates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep scenario in -short mode")
 	}
-	rep, err := Sweep(Seeds([]int64{7, 8}, 0.01, testCfg()), 2)
+	rep, err := Sweep([]int64{7, 8}, testCfg(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSweepAggregates(t *testing.T) {
 }
 
 func TestSweepRejectsEmpty(t *testing.T) {
-	if _, err := Sweep(nil, 4); err == nil {
+	if _, err := Sweep(nil, testCfg(), 4); err == nil {
 		t.Fatal("empty sweep did not error")
 	}
 }

@@ -24,12 +24,8 @@ type ChaosSweepConfig struct {
 	// Intensities are the failure multipliers to sweep (see
 	// failure.Scaled); empty means {1, 2, 4}.
 	Intensities []float64
-	// Scale is the JobScale for every run (0 keeps the scenario default).
-	Scale float64
-	// Horizon bounds each run (0 keeps the scenario default).
-	Horizon time.Duration
-	// Base rides along into every run; seed, intensity, failure and
-	// recovery toggles are overridden per run.
+	// Base rides along into every run, horizon and job scale included;
+	// seed, intensity, failure and recovery toggles are overridden per run.
 	Base core.ScenarioConfig
 	// Workers caps sweep parallelism (<=0 means GOMAXPROCS).
 	Workers int
@@ -97,21 +93,12 @@ func ChaosSweep(cfg ChaosSweepConfig) (*ChaosReport, error) {
 		cfg.Intensities = []float64{1, 2, 4}
 	}
 
-	// Flatten the campaign into independent jobs: one clean run per seed,
+	// Flatten the campaign into independent runs: one clean run per seed,
 	// then a baseline + recovery pair per (seed, intensity).
-	type job struct {
-		cfg core.ScenarioConfig
-	}
-	var jobs []job
-	mk := func(seed int64, intensity float64, recovery, clean bool) job {
+	var runs []core.ScenarioConfig
+	mk := func(seed int64, intensity float64, recovery, clean bool) core.ScenarioConfig {
 		sc := cfg.Base
 		sc.Seed = seed
-		if cfg.Scale != 0 {
-			sc.JobScale = cfg.Scale
-		}
-		if cfg.Horizon != 0 {
-			sc.Horizon = cfg.Horizon
-		}
 		sc.ChaosIntensity = intensity
 		sc.DisableFailures = clean
 		sc.EnableRecovery = recovery
@@ -119,48 +106,38 @@ func ChaosSweep(cfg ChaosSweepConfig) (*ChaosReport, error) {
 			// MTTD/MTTR come from outage spans, so recovery runs trace.
 			sc.EnableObservability = true
 		}
-		return job{cfg: sc}
+		return sc
 	}
 	for _, seed := range cfg.Seeds {
-		jobs = append(jobs, mk(seed, 0, false, true))
+		runs = append(runs, mk(seed, 0, false, true))
 		for _, in := range cfg.Intensities {
-			jobs = append(jobs, mk(seed, in, false, false))
-			jobs = append(jobs, mk(seed, in, true, false))
+			runs = append(runs, mk(seed, in, false, false))
+			runs = append(runs, mk(seed, in, true, false))
 		}
 	}
 
 	start := time.Now()
-	outcomes := make([]ChaosOutcome, len(jobs))
-	if _, err := fanOut(len(jobs), cfg.Workers, func(i int) error {
-		var err error
-		if outcomes[i], err = runChaos(jobs[i].cfg); err != nil {
-			return fmt.Errorf("campaign: chaos seed %d: %w", jobs[i].cfg.Seed, err)
+	outcomes := make([]ChaosOutcome, len(runs))
+	// Every run shares Base's horizon and scale; the report records them as
+	// the first run resolved them.
+	var ran core.ScenarioConfig
+	if _, err := fanOut(len(runs), cfg.Workers, func(i int) error {
+		s, err := runScenario(runs[i])
+		if err != nil {
+			return fmt.Errorf("campaign: chaos seed %d: %w", runs[i].Seed, err)
+		}
+		outcomes[i] = scoreChaos(s)
+		if i == 0 {
+			ran = s.Cfg
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	// Record the effective scale and horizon (the sweep override, else the
-	// base scenario's, else the calibrated defaults) so the report and its
-	// JSON rendering describe what actually ran.
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = cfg.Base.JobScale
-	}
-	if scale == 0 {
-		scale = 1.0
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = cfg.Base.Horizon
-	}
-	if horizon == 0 {
-		horizon = core.ScenarioHorizon
-	}
 	rep := &ChaosReport{
-		Scale:          scale,
-		Horizon:        horizon,
+		Scale:          ran.JobScale,
+		Horizon:        ran.Horizon,
 		Elapsed:        time.Since(start),
 		CleanCompleted: make(map[int64]int),
 	}
@@ -182,15 +159,8 @@ func ChaosSweep(cfg ChaosSweepConfig) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// runChaos executes one scenario and scores it.
-func runChaos(cfg core.ScenarioConfig) (ChaosOutcome, error) {
-	s, err := core.NewScenario(cfg)
-	if err != nil {
-		return ChaosOutcome{}, err
-	}
-	if err := s.Run(); err != nil {
-		return ChaosOutcome{}, err
-	}
+// scoreChaos scores one finished scenario.
+func scoreChaos(s *core.Scenario) ChaosOutcome {
 	g := s.Grid
 	var out ChaosOutcome
 	for _, voName := range vo.Grid3VOs {
@@ -225,7 +195,7 @@ func runChaos(cfg core.ScenarioConfig) (ChaosOutcome, error) {
 			out.Outages = outageStats(s.Injector.Events(), g.Obs.Tracer.Spans())
 		}
 	}
-	return out, nil
+	return out
 }
 
 // outageService maps an injected failure kind to the probed service whose

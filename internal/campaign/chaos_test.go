@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"grid3/internal/core"
 )
 
 // TestChaosSweepSmall runs a compact chaos campaign end to end and checks
@@ -18,8 +20,7 @@ func TestChaosSweepSmall(t *testing.T) {
 	rep, err := ChaosSweep(ChaosSweepConfig{
 		Seeds:       []int64{1},
 		Intensities: []float64{1, 6},
-		Scale:       0.03,
-		Horizon:     24 * time.Hour,
+		Base:        core.ScenarioConfig{Horizon: 24 * time.Hour, JobScale: 0.03},
 		Workers:     4,
 	})
 	if err != nil {
@@ -27,6 +28,9 @@ func TestChaosSweepSmall(t *testing.T) {
 	}
 	if len(rep.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(rep.Points))
+	}
+	if rep.Scale != 0.03 || rep.Horizon != 24*time.Hour {
+		t.Fatalf("report records scale %g over %v, want Base's 0.03 over 24h", rep.Scale, rep.Horizon)
 	}
 	clean := rep.CleanCompleted[1]
 	if clean == 0 {
@@ -105,8 +109,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	cfg := ChaosSweepConfig{
 		Seeds:       []int64{2},
 		Intensities: []float64{3},
-		Scale:       0.02,
-		Horizon:     24 * time.Hour,
+		Base:        core.ScenarioConfig{Horizon: 24 * time.Hour, JobScale: 0.02},
 	}
 	a, err := ChaosSweep(cfg)
 	if err != nil {

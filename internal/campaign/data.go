@@ -18,18 +18,11 @@ import (
 type DataSweepConfig struct {
 	// Seeds are the campaign seeds; empty means {1, 2, 3}.
 	Seeds []int64
-	// Days is the simulated horizon per run; default 30 (the SC2003 window).
-	Days int
-	// JobScale multiplies the workload (0 keeps the scenario default).
-	JobScale float64
-	// Doors bounds concurrent GridFTP flows per endpoint in managed runs;
-	// default 4 (a typical gsiftp door count).
-	Doors int
-	// Watermark is the managed runs' cleanup threshold (0 keeps the
-	// scenario default).
-	Watermark float64
-	// Base rides along into every run; seed, horizon, and the data-plane
-	// toggles are overridden per run.
+	// Base rides along into every run. A zero Horizon means 30 days (the
+	// SC2003 window), and a zero TransferDoors gives the managed runs 4
+	// doors (a typical gsiftp door count). The managed runs keep Base's
+	// CleanupWatermark; seed and the data-plane toggles are overridden per
+	// run.
 	Base core.ScenarioConfig
 	// Workers caps sweep parallelism (<=0 means GOMAXPROCS).
 	Workers int
@@ -84,62 +77,55 @@ func DataSweep(cfg DataSweepConfig) (*DataReport, error) {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = []int64{1, 2, 3}
 	}
-	if cfg.Days <= 0 {
-		cfg.Days = 30
+	if cfg.Base.Horizon == 0 {
+		cfg.Base.Horizon = 30 * 24 * time.Hour
 	}
-	if cfg.Doors <= 0 {
-		cfg.Doors = 4
+	if cfg.Base.TransferDoors == 0 {
+		cfg.Base.TransferDoors = 4
 	}
 
-	// Flatten into independent jobs: a baseline + managed pair per seed.
-	var jobs []core.ScenarioConfig
+	// Flatten into independent runs: a baseline + managed pair per seed.
+	var runs []core.ScenarioConfig
 	mk := func(seed int64, managed bool) core.ScenarioConfig {
 		sc := cfg.Base
 		sc.Seed = seed
-		sc.Horizon = time.Duration(cfg.Days) * 24 * time.Hour
-		if cfg.JobScale != 0 {
-			sc.JobScale = cfg.JobScale
-		}
 		// The baseline is the historical plane whatever Base carries.
 		sc.UseSRM = managed
-		sc.TransferDoors = 0
 		sc.EnableReplicaRanking = managed
 		sc.EnableStorageCleanup = managed
-		sc.CleanupWatermark = 0
-		if managed {
-			sc.TransferDoors = cfg.Doors
-			sc.CleanupWatermark = cfg.Watermark
+		if !managed {
+			sc.TransferDoors = 0
+			sc.CleanupWatermark = 0
 		}
 		return sc
 	}
 	for _, seed := range cfg.Seeds {
-		jobs = append(jobs, mk(seed, false), mk(seed, true))
+		runs = append(runs, mk(seed, false), mk(seed, true))
 	}
 
 	start := time.Now()
-	outcomes := make([]DataOutcome, len(jobs))
-	if _, err := fanOut(len(jobs), cfg.Workers, func(i int) error {
-		var err error
-		if outcomes[i], err = runData(jobs[i]); err != nil {
-			return fmt.Errorf("campaign: data seed %d: %w", jobs[i].Seed, err)
+	outcomes := make([]DataOutcome, len(runs))
+	// The report records the horizon, scale and doors as the first managed
+	// run resolved them.
+	var ran core.ScenarioConfig
+	if _, err := fanOut(len(runs), cfg.Workers, func(i int) error {
+		s, err := runScenario(runs[i])
+		if err != nil {
+			return fmt.Errorf("campaign: data seed %d: %w", runs[i].Seed, err)
+		}
+		outcomes[i] = scoreData(s)
+		if i == 1 {
+			ran = s.Cfg
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	// Record the effective job scale so the report describes what ran.
-	jobScale := cfg.JobScale
-	if jobScale == 0 {
-		jobScale = cfg.Base.JobScale
-	}
-	if jobScale == 0 {
-		jobScale = 1.0
-	}
 	rep := &DataReport{
-		Days:     cfg.Days,
-		JobScale: jobScale,
-		Doors:    cfg.Doors,
+		Days:     int(ran.Horizon / (24 * time.Hour)),
+		JobScale: ran.JobScale,
+		Doors:    ran.TransferDoors,
 		Elapsed:  time.Since(start),
 	}
 	for i, seed := range cfg.Seeds {
@@ -158,15 +144,8 @@ func DataSweep(cfg DataSweepConfig) (*DataReport, error) {
 	return rep, nil
 }
 
-// runData executes one scenario and scores its data plane.
-func runData(cfg core.ScenarioConfig) (DataOutcome, error) {
-	s, err := core.NewScenario(cfg)
-	if err != nil {
-		return DataOutcome{}, err
-	}
-	if err := s.Run(); err != nil {
-		return DataOutcome{}, err
-	}
+// scoreData scores one finished scenario's data plane.
+func scoreData(s *core.Scenario) DataOutcome {
 	g := s.Grid
 	out := DataOutcome{ByVO: map[string]float64{}}
 
@@ -198,7 +177,7 @@ func runData(cfg core.ScenarioConfig) (DataOutcome, error) {
 		out.EvictedBytes += m.EvictedBytes()
 	}
 	out.RLIIndex = g.RLI.KnownLFNs()
-	return out, nil
+	return out
 }
 
 // Write renders the sweep as a baseline-vs-managed table.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"testing"
+	"time"
 
 	"grid3/internal/core"
 )
@@ -9,24 +10,26 @@ import (
 // TestDataSweepBaselineIsRawGridFTP: the baseline runs the historical data
 // plane even when Base arms every managed feature, so it never queues a
 // transfer behind a door or grants an SRM reservation; the managed run
-// still does both.
+// still does both, behind Base's doors.
 func TestDataSweepBaselineIsRawGridFTP(t *testing.T) {
-	base := core.ScenarioConfig{Config: core.Config{
-		TestbedSites:         8,
-		UseSRM:               true,
-		TransferDoors:        2,
-		EnableReplicaRanking: true,
-		EnableStorageCleanup: true,
-	}}
-	rep, err := DataSweep(DataSweepConfig{
-		Seeds:    []int64{1},
-		Days:     2,
+	base := core.ScenarioConfig{
+		Config: core.Config{
+			TestbedSites:         8,
+			UseSRM:               true,
+			TransferDoors:        2,
+			EnableReplicaRanking: true,
+			EnableStorageCleanup: true,
+		},
+		Horizon:  48 * time.Hour,
 		JobScale: 0.01,
-		Doors:    2,
-		Base:     base,
-	})
+	}
+	rep, err := DataSweep(DataSweepConfig{Seeds: []int64{1}, Base: base})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Days != 2 || rep.JobScale != 0.01 || rep.Doors != 2 {
+		t.Errorf("report records %d days, scale %g, %d doors; want Base's 2, 0.01, 2",
+			rep.Days, rep.JobScale, rep.Doors)
 	}
 	b, m := rep.Points[0].Baseline, rep.Points[0].Managed
 	if b.Queued != 0 || b.PeakQueue != 0 || b.Granted != 0 {

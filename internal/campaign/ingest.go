@@ -20,9 +20,6 @@ import (
 type IngestSweepConfig struct {
 	// Events is the synthetic stream length (default 2,000,000).
 	Events int
-	// Farms × Params shapes the synthetic series population (defaults
-	// 32 × 8: 256 series, the order of a big testbed's station fan-in).
-	Farms, Params int
 	// AuditDays is the horizon of the audit-verification scenario
 	// (default 2); 0 < AuditDays keeps it cheap, negative skips it.
 	AuditDays int
@@ -51,6 +48,13 @@ type IngestReport struct {
 	Elapsed       time.Duration
 }
 
+// The synthetic series population: ingestFarms × ingestParams = 256
+// series, the order of a big testbed's station fan-in.
+const (
+	ingestFarms  = 32
+	ingestParams = 8
+)
+
 // streamClock is the synthetic stream's manual clock.
 type streamClock struct{ t time.Duration }
 
@@ -64,17 +68,11 @@ func IngestSweep(cfg IngestSweepConfig) (*IngestReport, error) {
 	if cfg.Events <= 0 {
 		cfg.Events = 2_000_000
 	}
-	if cfg.Farms <= 0 {
-		cfg.Farms = 32
-	}
-	if cfg.Params <= 0 {
-		cfg.Params = 8
-	}
 	if cfg.AuditDays == 0 {
 		cfg.AuditDays = 2
 	}
 	start := time.Now()
-	rep := &IngestReport{Events: cfg.Events, Farms: cfg.Farms, Params: cfg.Params}
+	rep := &IngestReport{Events: cfg.Events, Farms: ingestFarms, Params: ingestParams}
 	ingestStream(cfg, rep)
 	if cfg.AuditDays > 0 {
 		windows, verified, err := ingestAudit(cfg)
@@ -93,11 +91,11 @@ func ingestStream(cfg IngestSweepConfig, rep *IngestReport) {
 	clk := &streamClock{}
 	repo := monalisa.NewRepository(clk)
 
-	farms := make([]string, cfg.Farms)
+	farms := make([]string, ingestFarms)
 	for i := range farms {
 		farms[i] = fmt.Sprintf("farm-%03d", i)
 	}
-	params := make([]string, cfg.Params)
+	params := make([]string, ingestParams)
 	for i := range params {
 		params[i] = fmt.Sprintf("grid3.synthetic.p%02d", i)
 	}
@@ -106,14 +104,14 @@ func ingestStream(cfg IngestSweepConfig, rep *IngestReport) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
-	perRound := cfg.Farms * cfg.Params
+	const perRound = ingestFarms * ingestParams
 	for i := 0; i < cfg.Events; i++ {
 		if i%perRound == 0 {
 			clk.t += time.Second // one sample per series per sim second
 		}
 		repo.Ingest(monalisa.Metric{
-			Farm:  farms[i%cfg.Farms],
-			Param: params[(i/cfg.Farms)%cfg.Params],
+			Farm:  farms[i%ingestFarms],
+			Param: params[(i/ingestFarms)%ingestParams],
 			Time:  clk.t,
 			Value: float64(i % 1024),
 		})
@@ -141,11 +139,8 @@ func ingestAudit(cfg IngestSweepConfig) (windows int, verified bool, err error) 
 	scfg.Config.IngestWindow = 0 // default to the monitor interval
 	scfg.Horizon = time.Duration(cfg.AuditDays) * 24 * time.Hour
 	scfg.JobScale = 0.002
-	s, err := core.NewScenario(scfg)
+	s, err := runScenario(scfg)
 	if err != nil {
-		return 0, false, err
-	}
-	if err := s.Run(); err != nil {
 		return 0, false, err
 	}
 	led := s.Grid.Ledger

@@ -18,14 +18,10 @@ type ScaleSweepConfig struct {
 	SiteCounts []int
 	// Seeds defaults to {1}.
 	Seeds []int64
-	// Days is the simulated horizon per point; default 1.
-	Days int
-	// JobScale multiplies the workload (default 1.0). Held constant across
-	// points so ns/sim-day growth isolates the cost of more sites, not
-	// more jobs.
-	JobScale float64
-	// Base rides along into every point's ScenarioConfig; Sites, Seed
-	// and Horizon are overridden per point.
+	// Base rides along into every point's ScenarioConfig; Sites, Seed and
+	// TestbedSites are overridden per point. A zero Horizon means 1 day.
+	// Its job scale is held constant across points so ns/sim-day growth
+	// isolates the cost of more sites, not more jobs.
 	Base core.ScenarioConfig
 }
 
@@ -66,45 +62,40 @@ func ScaleSweep(cfg ScaleSweepConfig) (*ScaleReport, error) {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = []int64{1}
 	}
-	if cfg.Days <= 0 {
-		cfg.Days = 1
-	}
-	if cfg.JobScale == 0 {
-		cfg.JobScale = 1.0
+	if cfg.Base.Horizon == 0 {
+		cfg.Base.Horizon = 24 * time.Hour
 	}
 	start := time.Now()
-	rep := &ScaleReport{Days: cfg.Days, JobScale: cfg.JobScale}
+	rep := &ScaleReport{}
 	for _, sites := range cfg.SiteCounts {
 		for _, seed := range cfg.Seeds {
-			pt, err := scalePoint(cfg, sites, seed)
+			pt, ran, err := scalePoint(cfg.Base, sites, seed)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: scale point sites=%d seed=%d: %w", sites, seed, err)
 			}
 			rep.Points = append(rep.Points, pt)
+			rep.Days = int(ran.Horizon / (24 * time.Hour))
+			rep.JobScale = ran.JobScale
 		}
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
-func scalePoint(cfg ScaleSweepConfig, sites int, seed int64) (ScalePoint, error) {
-	scfg := cfg.Base
-	scfg.Config.Seed = seed
-	scfg.Config.Sites = nil
-	scfg.Config.TestbedSites = sites
-	scfg.Horizon = time.Duration(cfg.Days) * 24 * time.Hour
-	scfg.JobScale = cfg.JobScale
+// scalePoint runs base at one (sites, seed) point and measures it; it also
+// returns the configuration the point's scenario resolved.
+func scalePoint(base core.ScenarioConfig, sites int, seed int64) (ScalePoint, core.ScenarioConfig, error) {
+	base.Config.Seed = seed
+	base.Config.Sites = nil
+	base.Config.TestbedSites = sites
 
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
-	s, err := core.NewScenario(scfg)
+	s, err := runScenario(base)
 	if err != nil {
-		return ScalePoint{}, err
-	}
-	if err := s.Run(); err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, core.ScenarioConfig{}, err
 	}
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&after)
@@ -119,7 +110,7 @@ func scalePoint(cfg ScaleSweepConfig, sites int, seed int64) (ScalePoint, error)
 		CPUs:        core.TotalCPUs(s.Cfg.Config.Sites),
 		WallSecs:    wall.Seconds(),
 		Events:      s.Grid.Eng.Processed(),
-		NsPerSimDay: float64(wall.Nanoseconds()) / float64(cfg.Days),
+		NsPerSimDay: float64(wall.Nanoseconds()) / (s.Cfg.Horizon.Hours() / 24),
 		Mallocs:     after.Mallocs - before.Mallocs,
 		AllocBytes:  after.TotalAlloc - before.TotalAlloc,
 		Submitted:   s.SubmittedTotal(),
@@ -131,7 +122,7 @@ func scalePoint(cfg ScaleSweepConfig, sites int, seed int64) (ScalePoint, error)
 	if pt.Submitted > 0 {
 		pt.Goodput = float64(pt.Completed) / float64(pt.Submitted)
 	}
-	return pt, nil
+	return pt, s.Cfg, nil
 }
 
 // Write renders the sweep as a table.

@@ -156,10 +156,7 @@ func (m *MemStore) Delete(id string) error {
 const snapExt = ".g3snap"
 
 // DirStore is a durable StateStore over a directory: one file per snapshot
-// (`<id>.g3snap`), committed by writing a temporary file, fsyncing it, and
-// renaming it into place — so a crash at any point leaves either the old
-// record or the new one, never a torn file under a live ID. The directory
-// itself is fsynced after rename so the new name survives a power cut.
+// (`<id>.g3snap`), each committed by writeAtomic.
 type DirStore struct {
 	dir string
 	mu  sync.Mutex
@@ -192,42 +189,51 @@ func (d *DirStore) Put(id string, data []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tmp, err := os.CreateTemp(d.dir, ".tmp-"+id+"-*")
-	if err != nil {
+	if err := writeAtomic(dst, ".tmp-"+id+"-*", data); err != nil {
 		return fmt.Errorf("checkpoint: put %s: %w", id, err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: put %s: %w", id, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: put %s: %w", id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: put %s: %w", id, err)
-	}
-	if err := os.Rename(tmpName, dst); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: put %s: %w", id, err)
-	}
-	return d.syncDir()
+	return nil
 }
 
-// syncDir fsyncs the directory so a just-committed rename is durable. Some
-// filesystems refuse to fsync directories; that is reported, not fatal to
-// the data already written.
-func (d *DirStore) syncDir() error {
-	f, err := os.Open(d.dir)
+// writeAtomic commits data to dst by writing a temporary file named after
+// pattern in dst's directory, fsyncing and closing it, and renaming it into
+// place — so a crash at any point leaves either the old record or the new
+// one, never a torn file. The directory is fsynced after the rename so the
+// new name survives a power cut. On failure the temporary file is removed.
+func writeAtomic(dst, pattern string, data []byte) error {
+	dir := filepath.Dir(dst)
+	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
-		return fmt.Errorf("checkpoint: sync store dir: %w", err)
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so a just-committed rename is durable. Some
+// filesystems refuse to fsync directories; that is not an error, since the
+// data is already written. A variable so tests can see the call.
+var syncDir = func(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("sync dir: %w", err)
 	}
 	defer f.Close()
 	if err := f.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {
-		return fmt.Errorf("checkpoint: sync store dir: %w", err)
+		return fmt.Errorf("sync dir: %w", err)
 	}
 	return nil
 }
@@ -276,8 +282,8 @@ func (d *DirStore) Delete(id string) error {
 }
 
 // FileStore is a single-snapshot StateStore over one file path: Put always
-// writes the one file (atomically, via a sibling temp file + rename), Get
-// and List see whatever snapshot it currently holds. It backs the
+// writes the one file (atomically, by writeAtomic), Get and List see
+// whatever snapshot it currently holds. It backs the
 // `grid3sim -checkpoint-out FILE` / `-restore FILE` surface, where a run
 // produces exactly one checkpoint artifact.
 type FileStore struct {
@@ -295,28 +301,7 @@ func (f *FileStore) Path() string { return f.path }
 func (f *FileStore) Put(id string, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	dir := filepath.Dir(f.path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(f.path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: put %s: %w", f.path, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: put %s: %w", f.path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: put %s: %w", f.path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: put %s: %w", f.path, err)
-	}
-	if err := os.Rename(tmpName, f.path); err != nil {
-		os.Remove(tmpName)
+	if err := writeAtomic(f.path, "."+filepath.Base(f.path)+".tmp-*", data); err != nil {
 		return fmt.Errorf("checkpoint: put %s: %w", f.path, err)
 	}
 	return nil

@@ -215,6 +215,39 @@ func TestDirStorePutAtomicNoDroppings(t *testing.T) {
 	}
 }
 
+// Both durable stores fsync the directory after the rename, so a power cut
+// right after a Put cannot lose the new name.
+func TestPutSyncsDirectory(t *testing.T) {
+	var synced []string
+	orig := syncDir
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return orig(dir)
+	}
+	defer func() { syncDir = orig }()
+
+	dir := t.TempDir()
+	ds, err := NewDirStore(filepath.Join(dir, "snaps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		st  StateStore
+		dir string
+	}{
+		{ds, ds.Dir()},
+		{NewFileStore(filepath.Join(dir, "run.g3snap")), dir},
+	} {
+		synced = nil
+		if _, err := Save(tc.st, snapAt(time.Hour, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if len(synced) != 1 || synced[0] != tc.dir {
+			t.Errorf("%T.Put synced directories %v, want [%s]", tc.st, synced, tc.dir)
+		}
+	}
+}
+
 func TestFileStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.g3snap")
 	st := NewFileStore(path)

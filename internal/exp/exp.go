@@ -112,9 +112,10 @@ type Knobs struct {
 	Days int `json:"days,omitempty"`
 	// TestbedSites grows the synthetic testbed (0 = the 27-site catalog).
 	TestbedSites int `json:"testbed_sites,omitempty"`
-	// Doors bounds concurrent GridFTP flows per endpoint (data mode).
+	// Doors bounds concurrent GridFTP flows per endpoint (0 = the
+	// historical unbounded WAN; data mode gives its managed runs 4).
 	Doors int `json:"doors,omitempty"`
-	// Watermark is the managed data plane's cleanup threshold.
+	// Watermark is the managed data plane's cleanup threshold (0 = 0.15).
 	Watermark float64 `json:"watermark,omitempty"`
 	// Events is the ingest sweep's synthetic stream length.
 	Events int `json:"events,omitempty"`

@@ -92,27 +92,21 @@ func Run(spec *Spec, opts RunOptions) ([]Outcome, error) {
 	return outcomes, nil
 }
 
-// base builds the scenario configuration the knobs describe, mirroring
-// the grid3sim flag-to-config wiring so a spec knob and the CLI flag of
-// the same name produce byte-identical runs.
+// base builds the scenario configuration the knobs describe, one field
+// per knob, mirroring the grid3sim flag-to-config wiring so a spec knob
+// and the CLI flag of the same name produce byte-identical runs. A zero
+// knob leaves its field zero, which each mode reads as its own default.
 func (k Knobs) base() core.ScenarioConfig {
-	scale := k.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	days := k.Days
-	if days == 0 {
-		days = 183
-	}
 	return core.ScenarioConfig{
 		Config: core.Config{
-			TestbedSites:   k.TestbedSites,
-			TransferDoors:  k.Doors,
-			EnableHealth:   k.Health,
-			EnableRecovery: k.Recovery,
+			TestbedSites:     k.TestbedSites,
+			TransferDoors:    k.Doors,
+			CleanupWatermark: k.Watermark,
+			EnableHealth:     k.Health,
+			EnableRecovery:   k.Recovery,
 		},
-		Horizon:  time.Duration(days) * 24 * time.Hour,
-		JobScale: scale,
+		Horizon:  time.Duration(k.Days) * 24 * time.Hour,
+		JobScale: k.Scale,
 		UpgradeWave: core.UpgradeWaveConfig{
 			Start:   k.UpgradeAt.Std(),
 			Stagger: k.UpgradeStagger.Std(),
@@ -140,18 +134,13 @@ func runExperiment(e *Experiment) (report, error) {
 		return campaign.ScaleSweep(campaign.ScaleSweepConfig{
 			SiteCounts: e.Axes.Sites,
 			Seeds:      e.Axes.Seeds,
-			Days:       e.Knobs.Days,
-			JobScale:   base.JobScale,
 			Base:       base,
 		})
 	case ModeData:
 		return campaign.DataSweep(campaign.DataSweepConfig{
-			Seeds:     e.Axes.Seeds,
-			Days:      e.Knobs.Days,
-			Doors:     e.Knobs.Doors,
-			Watermark: e.Knobs.Watermark,
-			Base:      base,
-			Workers:   e.Knobs.Workers,
+			Seeds:   e.Axes.Seeds,
+			Base:    base,
+			Workers: e.Knobs.Workers,
 		})
 	case ModeIngest:
 		return campaign.IngestSweep(campaign.IngestSweepConfig{
@@ -164,7 +153,7 @@ func runExperiment(e *Experiment) (report, error) {
 		if len(seeds) == 0 {
 			seeds = []int64{1}
 		}
-		return campaign.Sweep(campaign.Seeds(seeds, base.JobScale, base), e.Knobs.Workers)
+		return campaign.Sweep(seeds, base, e.Knobs.Workers)
 	}
 	return nil, fmt.Errorf("unknown mode %q", e.Mode)
 }
