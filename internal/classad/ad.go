@@ -18,12 +18,15 @@ import (
 // length alone, beats hashing the name, and a queued job's ad costs one
 // small array instead of a map.
 //
-// Rank writes a memo to the ad it ranks as TARGET, so one Ad must not be
-// evaluated from two goroutines at once. Parsed expressions are never
-// written and may be shared freely.
+// Rank writes a memo to the ad it ranks as TARGET, and MatchMemo writes
+// one to both ads of a refused ask, so one Ad must not be evaluated from
+// two goroutines at once. Parsed expressions are never written and may be
+// shared freely.
 type Ad struct {
 	attrs []binding // sorted by name; names are unique
-	rank  *rankMemo // allocated the first time this ad is ranked as TARGET
+	// memo is allocated the first time this ad is ranked as TARGET or is
+	// one of the two ads of a refused MatchMemo ask.
+	memo *memo
 }
 
 // binding is one attribute of an ad.
@@ -32,16 +35,58 @@ type binding struct {
 	expr Expr
 }
 
+// memo is what matchmaking remembers on an ad. wrote, which every writer
+// of a binding calls, is the one place that invalidates it.
+type memo struct {
+	rank rankMemo
+
+	// gen moves when a write may change a stored refusal: a rebinding of
+	// a binding whose bit is set in watch, an insert, or a delete. Bit i
+	// of watch is set when a refusal stored since gen last moved read
+	// binding i. gen is 64 bits wide, so it cannot wrap.
+	gen, watch uint64
+
+	// refused is the ad that MatchMemo last found this ad does not match,
+	// and myGen and targetGen are the two ads' generations at that ask.
+	refused          *Ad
+	myGen, targetGen uint64
+}
+
 // rankMemo remembers the last Rank expression evaluated with the ad as
 // TARGET. When every attribute reference the expression can reach is
 // TARGET-scoped (targetOnly), its value depends on this ad alone and val
 // holds it; otherwise Rank re-evaluates without walking the expression
-// again. Set and Delete, the only writers of a binding after NewAd and
-// Clone, clear it.
+// again. Every write to a binding clears it.
 type rankMemo struct {
 	expr       Expr
 	val        float64
 	targetOnly bool
+}
+
+// memos returns the ad's memo, allocating it on first use.
+func (a *Ad) memos() *memo {
+	if a.memo == nil {
+		a.memo = new(memo)
+	}
+	return a.memo
+}
+
+// wrote invalidates what the memo holds after binding i was rebound, or,
+// when i is -1, after a binding was inserted or deleted. The Rank memo is
+// cleared and its storage kept, so the next miss allocates nothing. A
+// stored refusal outlives a write to a binding it did not read; an insert
+// or a delete moves the generation whatever its name, because it shifts
+// the positions watch holds and may bind a name a refusal found absent.
+func (a *Ad) wrote(i int) {
+	m := a.memo
+	if m == nil {
+		return
+	}
+	m.rank = rankMemo{}
+	if i < 0 || m.watch&(1<<i) != 0 {
+		m.gen++
+		m.watch = 0
+	}
 }
 
 // NewAd returns an empty ad.
@@ -109,20 +154,12 @@ func (a *Ad) bind(i int, name string, e Expr) {
 		}
 		a.attrs = slices.Insert(a.attrs, k, binding{name: name, expr: e})
 	}
-	a.forgetRank()
+	a.wrote(i)
 }
 
 // Set binds an attribute to an expression.
 func (a *Ad) Set(name string, e Expr) {
 	a.bind(a.index(name), name, e)
-}
-
-// forgetRank clears the Rank memo. The memo itself is kept, so the next
-// miss stores into it without allocating.
-func (a *Ad) forgetRank() {
-	if a.rank != nil {
-		*a.rank = rankMemo{}
-	}
 }
 
 // SetValue binds an attribute to a literal value. Rebinding the literal
@@ -172,8 +209,8 @@ func (a *Ad) Get(name string) (Expr, bool) {
 func (a *Ad) Delete(name string) {
 	if i := a.index(name); i >= 0 {
 		a.attrs = slices.Delete(a.attrs, i, i+1)
+		a.wrote(-1)
 	}
-	a.forgetRank()
 }
 
 // Len returns the number of attributes.
@@ -189,7 +226,7 @@ func (a *Ad) Names() []string {
 }
 
 // Clone returns a shallow copy (expressions are immutable once parsed)
-// without a Rank memo. The copy has room for one more binding: a clone is
+// without a memo. The copy has room for one more binding: a clone is
 // a template that its user completes, as a job ad gains its WallTime, and
 // the spare slot saves growing the bindings to do it.
 func (a *Ad) Clone() *Ad {

@@ -599,7 +599,7 @@ func TestRankMemoFollowsTargetBindings(t *testing.T) {
 				t.Errorf("%s: job %d Rank = %v, reference %v", c.name, i, got, want)
 			}
 		}
-		if stored := ce.rank != nil && ce.rank.expr == rank && ce.rank.targetOnly; stored != c.stored {
+		if stored := ce.memo != nil && ce.memo.rank.expr == rank && ce.memo.rank.targetOnly; stored != c.stored {
 			t.Errorf("%s: value stored = %v, want %v", c.name, stored, c.stored)
 		}
 	}
@@ -626,14 +626,14 @@ func TestRankMemoInvalidation(t *testing.T) {
 	}
 	for _, s := range steps {
 		s.change()
-		if kept := ce.rank != nil && ce.rank.expr != nil; kept != s.kept {
+		if kept := ce.memo != nil && ce.memo.rank.expr != nil; kept != s.kept {
 			t.Fatalf("%s: memo kept = %v, want %v", s.name, kept, s.kept)
 		}
 		if got := Rank(job, ce); got != s.want || got != refRank(job, ce) {
 			t.Fatalf("%s: Rank = %v, want %v", s.name, got, s.want)
 		}
 	}
-	if c := ce.Clone(); c.rank != nil {
+	if c := ce.Clone(); c.memo != nil {
 		t.Fatal("Clone copied the memo")
 	}
 }
@@ -666,8 +666,122 @@ Requirements = stringListMember(TARGET.VO, MY.SupportedVOs) && TARGET.WallTime <
 		t.Fatalf("rebinding %d CE ads and scanning them made %v allocations, want 0", len(ads), allocs)
 	}
 	for i, ad := range ads {
-		if m := ad.rank; m == nil || !m.targetOnly {
+		if m := ad.memo; m == nil || !m.rank.targetOnly {
 			t.Fatalf("ad %d: the scan after a rebind stored no Rank", i)
 		}
+	}
+}
+
+// MatchMemo remembers a refusal on the job ad. A write to a binding
+// neither Requirements read keeps it, as a collector refresh of the load
+// attributes does; a write to one that was read, an insert or a delete
+// moves a generation, and the next ask evaluates again.
+func TestMatchMemoWatchesWhatRequirementsRead(t *testing.T) {
+	ce := MustParseAd(`FreeCpus = 8
+WaitingJobs = 3
+MaxWallTime = 3600
+SupportedVOs = "usatlas,uscms"
+Requirements = stringListMember(TARGET.VO, MY.SupportedVOs) && TARGET.WallTime <= MY.MaxWallTime
+`)
+	job := MustParseAd("Rank = TARGET.FreeCpus - TARGET.WaitingJobs\nVO = \"uscms\"\nWallTime = 7200\n")
+	steps := []struct {
+		name   string
+		change func()
+		hit    bool // the ask is answered by the stored refusal
+		want   bool
+	}{
+		{"first", func() {}, false, false},
+		{"again", func() {}, true, false},
+		{"load refresh", func() { ce.SetInt("FreeCpus", 2); ce.SetInt("WaitingJobs", 9) }, true, false},
+		{"Rank rebound", func() { job.Set(AttrRank, MustParse("0")) }, true, false},
+		{"identical SetValue", func() { ce.SetInt("MaxWallTime", 3600) }, true, false},
+		{"job VO rewritten", func() { job.SetString("VO", "usatlas") }, false, false},
+		{"insert", func() { ce.SetBool("OutboundIP", true) }, false, false},
+		{"after the insert", func() {}, true, false},
+		{"delete", func() { ce.Delete("WaitingJobs") }, false, false},
+		{"MaxWallTime raised", func() { ce.SetInt("MaxWallTime", 7200) }, false, true},
+		{"matched, no refusal stored", func() {}, false, true},
+		{"job Requirements inserted", func() { job.SetExpr(AttrRequirements, "TARGET.FreeCpus > 4") }, false, false},
+		{"load refresh the job reads", func() { ce.SetInt("FreeCpus", 5) }, false, true},
+	}
+	for _, s := range steps {
+		s.change()
+		if hit := memoServes(job, ce); hit != s.hit {
+			t.Fatalf("%s: served by the memo = %v, want %v", s.name, hit, s.hit)
+		}
+		if got := MatchMemo(job, ce); got != s.want || got != Match(job, ce) || got != refMatch(job, ce) {
+			t.Fatalf("%s: MatchMemo = %v, want %v", s.name, got, s.want)
+		}
+	}
+}
+
+// memoServes reports whether MatchMemo(my, target) would be answered by
+// the refusal stored on my.
+func memoServes(my, target *Ad) bool {
+	m := my.memo
+	return m != nil && m.refused == target && m.myGen == m.gen && m.targetGen == target.memo.gen
+}
+
+// The walk resolves an unscoped name as the evaluator does, in MY first and
+// then in TARGET: the CE's Requirements reads its own MaxWallTime and the
+// job's WallTime, so a write to the job's MaxWallTime keeps the refusal,
+// and writes to the job's WallTime or the CE's MaxWallTime clear it.
+func TestMatchMemoResolvesUnscopedNames(t *testing.T) {
+	ce := MustParseAd("MaxWallTime = 3600\nRequirements = WallTime <= MaxWallTime\n")
+	job := MustParseAd("WallTime = 7200\nMaxWallTime = 99999\n")
+	for _, s := range []struct {
+		name      string
+		change    func()
+		hit, want bool
+	}{
+		{"first", func() {}, false, false},
+		{"job MaxWallTime", func() { job.SetInt("MaxWallTime", 1) }, true, false},
+		{"job WallTime", func() { job.SetInt("WallTime", 7000) }, false, false},
+		{"CE MaxWallTime", func() { ce.SetInt("MaxWallTime", 7200) }, false, true},
+	} {
+		s.change()
+		if hit := memoServes(job, ce); hit != s.hit {
+			t.Fatalf("%s: served by the memo = %v, want %v", s.name, hit, s.hit)
+		}
+		if got := MatchMemo(job, ce); got != s.want || got != refMatch(job, ce) {
+			t.Fatalf("%s: MatchMemo = %v, want %v", s.name, got, s.want)
+		}
+	}
+}
+
+// A refusal is stored only when the walk of both Requirements can name
+// every binding it read: not past maxEvalDepth, and not for a binding
+// beyond the 64 a mask holds. An ask that matches allocates no memo.
+func TestMatchMemoStoresNothingItCannotWatch(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&sb, "a%02d = %d\n", i, i)
+	}
+	wide := MustParseAd(sb.String() + "Requirements = MY.a69 < 0\n")
+	deep := MustParseAd("Requirements = " + strings.Repeat("-", 70) + "1 < 0\n")
+	narrow := MustParseAd("Requirements = MY.x < 0\nx = 1\n")
+	job := MustParseAd("WallTime = 60\n")
+	for _, c := range []struct {
+		name   string
+		ce     *Ad
+		stored bool
+	}{
+		{"binding beyond the mask", wide, false},
+		{"walk deeper than maxEvalDepth", deep, false},
+		{"watchable", narrow, true},
+	} {
+		if MatchMemo(job, c.ce) {
+			t.Fatalf("%s: matched", c.name)
+		}
+		if stored := job.memo != nil && job.memo.refused == c.ce; stored != c.stored {
+			t.Fatalf("%s: refusal stored = %v, want %v", c.name, stored, c.stored)
+		}
+	}
+	open, fresh := MustParseAd("Requirements = true\n"), MustParseAd("WallTime = 60\n")
+	if !MatchMemo(fresh, open) || fresh.memo != nil || open.memo != nil {
+		t.Fatal("an ask that matched allocated a memo")
+	}
+	if c := job.Clone(); c.memo != nil {
+		t.Fatal("Clone copied the memo")
 	}
 }

@@ -1,6 +1,7 @@
 package classad
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -47,6 +48,8 @@ var fuzzFuncs = []struct {
 type fuzzGen struct {
 	data []byte
 	refs int // attribute references the current expression may still use
+	// names are the names a reference may read; nil means fuzzNames.
+	names []string
 }
 
 func (g *fuzzGen) pick(n int) int {
@@ -71,7 +74,11 @@ func (g *fuzzGen) expr(depth int) Expr {
 		return &litExpr{fuzzLits[g.pick(len(fuzzLits))]}
 	case 1:
 		g.refs--
-		return &attrExpr{scope: scope(g.pick(3)), name: fuzzNames[g.pick(len(fuzzNames))]}
+		names := g.names
+		if names == nil {
+			names = fuzzNames
+		}
+		return &attrExpr{scope: scope(g.pick(3)), name: names[g.pick(len(names))]}
 	case 2:
 		return &unaryExpr{op: fuzzUnary[g.pick(len(fuzzUnary))], x: g.expr(depth - 1)}
 	case 3, 4:
@@ -339,5 +346,203 @@ func TestParseAdMatchesModel(t *testing.T) {
 		rng.Read(data)
 		g := &fuzzGen{data: data}
 		checkParseAd(t, g.ad(3).String(), g.data)
+	}
+}
+
+// memoRefs are the names a reference may read in FuzzMatchMemo. A
+// Requirements there reads several attributes, so no binding may read
+// Requirements: a cycle through it would branch at every level.
+var memoRefs = slices.DeleteFunc(slices.Clone(fuzzNames), func(n string) bool { return n == AttrRequirements })
+
+// memoNums are literals that compare with each other without ERROR.
+var memoNums = []Value{Int(0), Int(1), Int(2), Int(7), Float(0.5), Float(-2.5)}
+
+// memoLit draws a literal, half the time from memoNums, so that a
+// comparison with it comes out TRUE or FALSE more often than ERROR.
+func (g *fuzzGen) memoLit() Value {
+	if g.pick(2) == 0 {
+		return memoNums[g.pick(len(memoNums))]
+	}
+	return fuzzLits[g.pick(len(fuzzLits))]
+}
+
+// memoAd binds some of the vocabulary, mostly to literals, and, three
+// times in four, a Requirements that reads several bindings of both ads.
+func (g *fuzzGen) memoAd() *Ad {
+	a := NewAd()
+	for _, n := range fuzzNames {
+		switch g.pick(4) {
+		case 0:
+		case 1:
+			g.refs = 1
+			a.Set(n, g.expr(3))
+		default:
+			a.SetValue(n, g.memoLit())
+		}
+	}
+	if g.pick(4) != 0 {
+		a.Set(AttrRequirements, g.requirements())
+	}
+	return a
+}
+
+var memoCompare = []tokenKind{tokEq, tokNe, tokLt, tokLe, tokGt, tokGe, tokMetaEq, tokMetaNe}
+
+// requirements draws a Requirements that reads up to six attributes:
+// usually one to three comparisons of a reference with a literal or with
+// another reference, joined by && or ||, so that a write to one binding
+// often flips the verdict; otherwise any expression.
+func (g *fuzzGen) requirements() Expr {
+	if g.pick(4) == 0 {
+		g.refs = 4
+		return g.expr(4)
+	}
+	ref := func() Expr {
+		return &attrExpr{scope: scope(g.pick(3)), name: memoRefs[g.pick(len(memoRefs))]}
+	}
+	var e Expr
+	for n := 1 + g.pick(3); n > 0; n-- {
+		var r Expr = &litExpr{g.memoLit()}
+		if g.pick(3) == 0 {
+			r = ref()
+		}
+		c := &binaryExpr{op: memoCompare[g.pick(len(memoCompare))], l: ref(), r: r}
+		if e == nil {
+			e = c
+		} else {
+			e = &binaryExpr{op: []tokenKind{tokAnd, tokOr}[g.pick(2)], l: e, r: c}
+		}
+	}
+	return e
+}
+
+// readNames appends the names e references, or, when unscoped is set,
+// those it references without a scope.
+func readNames(names []string, e Expr, unscoped bool) []string {
+	switch x := e.(type) {
+	case *attrExpr:
+		if !unscoped || x.scope == scopeNone {
+			names = append(names, x.name)
+		}
+	case *unaryExpr:
+		names = readNames(names, x.x, unscoped)
+	case *binaryExpr:
+		names = readNames(readNames(names, x.l, unscoped), x.r, unscoped)
+	case *condExpr:
+		names = readNames(readNames(readNames(names, x.cond, unscoped), x.then, unscoped), x.els, unscoped)
+	case *callExpr:
+		for _, a := range x.args {
+			names = readNames(names, a, unscoped)
+		}
+	}
+	return names
+}
+
+// checkMatchMemo decodes its bytes into two ads and a sequence of
+// operations on either of them: memoized asks in any direction (an ad may
+// be asked about itself), Set, SetValue of the literal already bound and
+// of another one, Delete, an insert of a name that a Requirements reads
+// unscoped, and a rebinding of Requirements. Half the writes go to a name
+// a Requirements references. Each ask must equal Match and the reference
+// evaluator's verdict, and after each write a stored refusal that would
+// answer an ask must still be one; exhausted input asks all four pairs.
+// Bytes past the first 512 are ignored, which keeps each run, and the
+// fuzzer's minimizing of a long input, short.
+func checkMatchMemo(t *testing.T, data []byte) {
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	g := &fuzzGen{data: data, names: memoRefs}
+	ads := [2]*Ad{g.memoAd(), g.memoAd()}
+	var log []string
+	ask := func(i, j int) {
+		my, target := ads[i], ads[j]
+		got := MatchMemo(my, target)
+		if want, ref := Match(my, target), refMatch(my, target); got != want || got != ref {
+			t.Fatalf("MatchMemo(ad%d, ad%d) = %v, Match %v, reference %v after\n%s\nad0:\n%sad1:\n%s",
+				i, j, got, want, ref, strings.Join(log, "\n"), ads[0], ads[1])
+		}
+		log = append(log, fmt.Sprintf("ask ad%d ad%d: %v", i, j, got))
+	}
+	// requirementNames lists the names the two Requirements reference.
+	requirementNames := func(unscoped bool) []string {
+		var names []string
+		for _, a := range ads {
+			if req, ok := a.Get(AttrRequirements); ok {
+				names = readNames(names, req, unscoped)
+			}
+		}
+		return names
+	}
+	for len(g.data) > 0 {
+		k := g.pick(2)
+		ad, name := ads[k], fuzzNames[g.pick(len(fuzzNames))]
+		if read := requirementNames(false); len(read) > 0 && g.pick(2) == 0 {
+			name = read[g.pick(len(read))]
+		}
+		switch g.pick(8) {
+		case 0, 1, 2:
+			ask(k, g.pick(2))
+			continue
+		case 3:
+			g.refs = 1
+			ad.Set(name, g.expr(3))
+		case 4:
+			v := g.memoLit()
+			if e, ok := ad.Get(name); ok && g.pick(2) == 0 {
+				if l, ok := e.(*litExpr); ok {
+					v = l.v
+				}
+			}
+			ad.SetValue(name, v)
+		case 5:
+			ad.Delete(name)
+		case 6:
+			names := requirementNames(true)
+			if len(names) == 0 {
+				continue
+			}
+			name = names[g.pick(len(names))]
+			if _, ok := ad.Get(name); ok {
+				continue
+			}
+			ad.SetValue(name, g.memoLit())
+		default:
+			name = AttrRequirements
+			ad.Set(name, g.requirements())
+		}
+		e, _ := ad.Get(name)
+		log = append(log, fmt.Sprintf("ad%d.%s = %v", k, name, e))
+		// A refusal that would answer the next ask must still be one.
+		for i, my := range ads {
+			if m := my.memo; m != nil && m.refused != nil && memoServes(my, m.refused) &&
+				(Match(my, m.refused) || refMatch(my, m.refused)) {
+				t.Fatalf("ad%d holds a refusal that no longer holds after\n%s\nad0:\n%sad1:\n%s",
+					i, strings.Join(log, "\n"), ads[0], ads[1])
+			}
+		}
+	}
+	for _, p := range [][2]int{{0, 1}, {1, 0}, {0, 0}, {1, 1}} {
+		ask(p[0], p[1])
+	}
+}
+
+func FuzzMatchMemo(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("requirements = target.a <= my.b; b = 3; a = 7"))
+	f.Add([]byte{3, 1, 5, 2, 0, 6, 1, 1, 0, 0, 9, 4, 1, 3, 5, 7, 0, 1, 2, 8, 16, 0, 0, 1, 0, 0, 2})
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 200, 100, 50, 25, 12, 6, 3, 1, 14, 0, 0})
+	f.Fuzz(checkMatchMemo)
+}
+
+// TestMatchMemoMatchesReference runs the FuzzMatchMemo check over a fixed
+// stream of pseudo-random inputs, so the plain test suite covers it too.
+func TestMatchMemoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 512)
+	for i := 0; i < 5000; i++ {
+		data := buf[:rng.Intn(len(buf))]
+		rng.Read(data)
+		checkMatchMemo(t, data)
 	}
 }

@@ -26,6 +26,94 @@ func halfMatch(my, target *Ad) bool {
 	return evalExpr(req, evalContext{my: my, target: target}).IsTrue()
 }
 
+// MatchMemo is Match for a caller that asks about the same pair again and
+// again, as Condor-G asks about a job pinned to one site at every
+// negotiation cycle. A refusal is remembered on a, with b and both ads'
+// generations, and answers the next ask without evaluation until a write
+// that may change the verdict (to a binding either Requirements read, or
+// an insert or a delete) moves a generation. A collector refresh that
+// rewrites only load attributes the Requirements do not read keeps it. An ask that matches stores nothing and allocates nothing.
+// Neither ad may be nil.
+func MatchMemo(a, b *Ad) bool {
+	if m := a.memo; m != nil && m.refused == b && m.myGen == m.gen && m.targetGen == b.memo.gen {
+		return false
+	}
+	if Match(a, b) {
+		return true
+	}
+	w1 := reads{my: a, target: b}
+	w2 := reads{my: b, target: a}
+	if w1.ref(a, &w1.myBits, AttrRequirements, 0) && w2.ref(b, &w2.myBits, AttrRequirements, 0) {
+		ma, mb := a.memos(), b.memos()
+		ma.watch |= w1.myBits | w2.targetBits
+		mb.watch |= w1.targetBits | w2.myBits
+		ma.refused, ma.myGen, ma.targetGen = b, ma.gen, mb.gen
+	}
+	return false
+}
+
+// reads walks what evaluating an expression with MY bound to my and
+// TARGET to target can read, and sets the bit of each binding of either
+// ad that it reaches. Names resolve as the evaluator resolves them, and a
+// binding is followed into its expression, which the evaluator evaluates
+// in the same context. An absent name sets no bit: only an insert can
+// bind it, and an insert moves the ad's generation.
+type reads struct {
+	my, target         *Ad
+	myBits, targetBits uint64
+}
+
+// expr walks e; depth counts nodes as evalExpr does. It reports false when
+// the walk goes deeper than maxEvalDepth or reaches a binding beyond the
+// 64 a mask holds, and the caller then stores nothing.
+func (r *reads) expr(e Expr, depth int) bool {
+	depth++
+	if depth > maxEvalDepth {
+		return false
+	}
+	switch x := e.(type) {
+	case *litExpr:
+		return true
+	case *attrExpr:
+		if x.scope == scopeMy || x.scope == scopeNone && r.my.index(x.name) >= 0 {
+			return r.ref(r.my, &r.myBits, x.name, depth)
+		}
+		return r.ref(r.target, &r.targetBits, x.name, depth)
+	case *unaryExpr:
+		return r.expr(x.x, depth)
+	case *binaryExpr:
+		return r.expr(x.l, depth) && r.expr(x.r, depth)
+	case *condExpr:
+		return r.expr(x.cond, depth) && r.expr(x.then, depth) && r.expr(x.els, depth)
+	case *callExpr:
+		for _, a := range x.args {
+			if !r.expr(a, depth) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// ref follows name into ad's binding, whose bit goes into bits. A binding
+// whose bit is already set is not walked again: the walk that set it sets
+// every bit its expression reaches, so a reference cycle ends at its first
+// repeat.
+func (r *reads) ref(ad *Ad, bits *uint64, name string, depth int) bool {
+	i := ad.index(name)
+	switch {
+	case i < 0:
+		return true
+	case i >= 64:
+		return false
+	case *bits&(1<<i) != 0:
+		return true
+	}
+	*bits |= 1 << i
+	return r.expr(ad.attrs[i].expr, depth)
+}
+
 // Rank evaluates my's Rank expression against target. Missing, UNDEFINED,
 // or non-numeric ranks are 0, per Condor.
 //
@@ -43,16 +131,11 @@ func Rank(my, target *Ad) float64 {
 	if target == nil {
 		return rankValue(evalExpr(e, evalContext{my: my}))
 	}
-	m := target.rank
-	if m != nil && m.expr == e && m.targetOnly {
-		return m.val
+	if m := target.memo; m != nil && m.rank.expr == e && m.rank.targetOnly {
+		return m.rank.val
 	}
 	f := rankValue(evalExpr(e, evalContext{my: my, target: target}))
-	if m == nil {
-		m = new(rankMemo)
-		target.rank = m
-	}
-	if m.expr != e {
+	if m := &target.memos().rank; m.expr != e {
 		*m = rankMemo{expr: e, val: f, targetOnly: readsOnlyTarget(e, target, 0)}
 	}
 	return f

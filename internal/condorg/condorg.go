@@ -457,7 +457,9 @@ func (s *Schedd) pickResource(j *GridJob, now time.Duration) *Resource {
 			if pinned == nil || !s.eligible(pinned, now) || (avoidFailed && j.avoid[pinned]) {
 				return nil
 			}
-			if ad := pinned.AdFunc(); ad != nil && classad.Match(j.Ad, ad) {
+			// A pinned job is asked about the same CE ad every cycle;
+			// MatchMemo answers a repeated refusal without evaluating.
+			if ad := pinned.AdFunc(); ad != nil && classad.MatchMemo(j.Ad, ad) {
 				return pinned
 			}
 			return nil

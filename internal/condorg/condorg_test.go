@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"grid3/internal/batch"
 	"grid3/internal/classad"
@@ -513,5 +514,91 @@ func TestNegotiateSteadyQueueAllocations(t *testing.T) {
 	}
 	if small, large := cycleAllocs(10), cycleAllocs(2000); large > small {
 		t.Fatalf("a cycle over 2000 idle jobs made %v allocations, over 10 made %v", large, small)
+	}
+}
+
+// A job pinned to a site whose CE ad refuses it (its walltime is above the
+// site's MaxWallTime) is asked about again at every negotiation cycle. The
+// refusal is remembered on the job ad, and the collector's load refresh
+// between cycles does not clear it: each cycle still counts a match
+// failure, and a refused re-ask allocates nothing. Raising MaxWallTime
+// ends it on the next cycle, and an open breaker sends the job to the full
+// scan. Only a refusal allocates the memo, which lives behind a pointer
+// the ad already had, so neither record grows.
+func TestPinnedRefusalIsRemembered(t *testing.T) {
+	if got := unsafe.Sizeof(GridJob{}); got != 256 {
+		t.Errorf("GridJob is %d bytes, want 256", got)
+	}
+	if got := unsafe.Sizeof(classad.Ad{}); got != 32 {
+		t.Errorf("classad.Ad is %d bytes, want 32", got)
+	}
+	r := newRig(t)
+	ad := (&glue.CE{
+		ID: "UC", SiteName: "UC", Host: "UC", LRMSType: glue.PBS, TotalCPUs: 4, FreeCPUs: 4,
+		MaxWallTime: time.Hour, VOs: []string{"usatlas"},
+	}).Ad()
+	uc, _ := r.schedd.Resource("UC")
+	uc.AdFunc = func() *classad.Ad { return ad }
+	breaker := false
+	uc.Excluded = func() bool { return breaker }
+
+	j := gridJob("pinned", time.Hour) // walltime 2 h
+	j.TargetSite = "UC"
+	r.schedd.Submit(j)
+	for cycle := 1; cycle <= 3; cycle++ {
+		glue.SetAdLoad(ad, 4-cycle, cycle, 2*cycle)
+		r.schedd.Negotiate()
+		if got := r.schedd.MatchFailures(); got != 1+cycle || j.State != Idle {
+			t.Fatalf("cycle %d: %d match failures, state %v; want %d, idle", cycle, got, j.State, 1+cycle)
+		}
+	}
+	glue.SetAdLoad(ad, 4, 0, 0)
+	if allocs := testing.AllocsPerRun(20, r.schedd.Negotiate); allocs != 0 {
+		t.Fatalf("a cycle that re-asks a refused pinned job made %v allocations, want 0", allocs)
+	}
+
+	ad.SetInt("MaxWallTime", int64(3*time.Hour/time.Second))
+	r.schedd.Negotiate()
+	if j.State != Running || j.Site != "UC" {
+		t.Fatalf("after MaxWallTime was raised: state %v at %q, want running at UC", j.State, j.Site)
+	}
+
+	ad.SetInt("MaxWallTime", int64(time.Hour/time.Second))
+	k := gridJob("pinned-sick", time.Hour)
+	k.TargetSite = "UC"
+	r.schedd.Submit(k)
+	r.schedd.Negotiate()
+	if k.State != Idle {
+		t.Fatalf("job refused by UC is %v", k.State)
+	}
+	breaker = true
+	r.schedd.Negotiate()
+	if k.State != Running || k.Site != "BNL" {
+		t.Fatalf("with UC's breaker open: state %v at %q, want running at BNL", k.State, k.Site)
+	}
+	breaker = false
+
+	// First asks of fresh pinned jobs: one that matches allocates nothing,
+	// one that is refused allocates its own ad's memo and no more.
+	firstAsk := func(walltime time.Duration) float64 {
+		jobs := make([]*GridJob, 21)
+		for i := range jobs {
+			jobs[i] = gridJob(fmt.Sprintf("fresh-%d", i), time.Hour)
+			jobs[i].TargetSite = "UC"
+			jobs[i].Ad = classad.NewAd()
+			jobs[i].Ad.SetString("vo", "usatlas")
+			jobs[i].Ad.SetInt("walltime", int64(walltime/time.Second))
+		}
+		n := 0
+		return testing.AllocsPerRun(20, func() {
+			r.schedd.pickResource(jobs[n], r.eng.Now())
+			n++
+		})
+	}
+	if allocs := firstAsk(time.Hour); allocs != 0 {
+		t.Errorf("a pinned job that matched on its first ask made %v allocations, want 0", allocs)
+	}
+	if allocs := firstAsk(2 * time.Hour); allocs != 1 {
+		t.Errorf("a pinned job refused on its first ask made %v allocations, want 1", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"time"
@@ -185,6 +186,32 @@ func (s *Service) handleVOMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"vo": voName, "members": members})
 }
 
+// maxBodyBytes caps a POST body. The largest body the API takes, an
+// enrollment with a long DN and a few roles, is well under a kilobyte.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a POST body into v strictly: an unknown field (a
+// misspelt "walltime_seconds" would otherwise be dropped without a word),
+// data after the object, or a body over maxBodyBytes is an error naming
+// the problem.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			return errors.New("data after the JSON object")
+		}
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return fmt.Errorf("body is larger than %d bytes", maxBodyBytes)
+	}
+	return err
+}
+
 type enrollRequest struct {
 	DN    string   `json:"dn"`
 	Name  string   `json:"name"`
@@ -198,7 +225,7 @@ type enrollRequest struct {
 func (s *Service) handleEnroll(w http.ResponseWriter, r *http.Request) {
 	voName := r.PathValue("vo")
 	var req enrollRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errDTO("bad enroll body: "+err.Error()))
 		return
 	}
@@ -283,7 +310,7 @@ func jobDTO(rec *JobRecord) jobJSON {
 // table. 202: accepted for asynchronous execution.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errDTO("bad submit body: "+err.Error()))
 		return
 	}
@@ -301,6 +328,14 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.WalltimeSeconds > maxJobSeconds {
 		writeJSON(w, http.StatusBadRequest, errDTO(fmt.Sprintf("walltime_seconds must be at most %.0f", maxJobSeconds)))
+		return
+	}
+	if req.InputBytes < 0 {
+		writeJSON(w, http.StatusBadRequest, errDTO("input_bytes must not be negative"))
+		return
+	}
+	if req.OutputBytes < 0 {
+		writeJSON(w, http.StatusBadRequest, errDTO("output_bytes must not be negative"))
 		return
 	}
 	var rec JobRecord

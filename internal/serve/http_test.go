@@ -164,11 +164,57 @@ func TestHandlerSubmitAndJobStatus(t *testing.T) {
 		{"runtime_seconds", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 1e12}},
 		{"runtime_seconds", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 9.3e9}},
 		{"walltime_seconds", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 60, "walltime_seconds": 1e12}},
+		// A negative byte count was once taken as 0.
+		{"input_bytes", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 60, "input_bytes": -5}},
+		{"output_bytes", map[string]any{"vo": "usatlas", "user": "a", "runtime_seconds": 60, "output_bytes": -1}},
 	} {
 		out := postJSON(t, ts.URL+"/api/v1/jobs", c.body, http.StatusBadRequest)
 		if msg, _ := out["error"].(string); !strings.Contains(msg, c.field) {
 			t.Errorf("submit %v: error %q does not name %s", c.body, msg, c.field)
 		}
+	}
+}
+
+// POST bodies are decoded strictly. Each case is a body the lax decoder
+// accepted (a submission got 202, an enrollment 201); now each gets 400
+// naming the problem, on both endpoints that take a body.
+func TestHandlerRefusesLaxBodies(t *testing.T) {
+	_, ts := newTestServer(t, HandlerConfig{})
+	big := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct {
+		name, submit, enroll, want string
+	}{
+		{"unknown field",
+			`{"vo": "usatlas", "user": "a", "runtime_seconds": 60, "walltime_secs": 7200}`,
+			`{"dn": "/CN=lax-field", "rank": "admin"}`,
+			`unknown field`},
+		{"data after the object",
+			`{"vo": "usatlas", "user": "a", "runtime_seconds": 60} {"vo": "uscms"}`,
+			`{"dn": "/CN=lax-trailing"} trailing`,
+			"data after the JSON object"},
+		{"body over the cap",
+			`{"vo": "usatlas", "user": "` + big + `", "runtime_seconds": 60}`,
+			`{"dn": "/CN=` + big + `"}`,
+			"larger than 1048576 bytes"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, p := range []struct{ url, body string }{
+				{ts.URL + "/api/v1/jobs", c.submit},
+				{ts.URL + "/api/v1/vo/ligo/members", c.enroll},
+			} {
+				resp, err := http.Post(p.url, "application/json", strings.NewReader(p.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out map[string]any
+				json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				msg, _ := out["error"].(string)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, c.want) {
+					t.Errorf("POST %s = %d %q, want 400 naming %q", p.url, resp.StatusCode, msg, c.want)
+				}
+			}
+		})
 	}
 }
 
