@@ -479,7 +479,8 @@ func (r *Result) Records() int { return r.scen.Grid.ACDC.Len() }
 func (r *Result) EventsProcessed() uint64 { return r.scen.Grid.Eng.Processed() }
 
 // Trace returns the run's span trace, or nil when the run was executed
-// without observability (see WithObservability / WithTracer).
+// without observability (see WithObservability / WithTracer). Each call
+// copies the recorded spans, so call it once and keep the result.
 func (r *Result) Trace() *Trace {
 	if o := r.scen.Grid.Obs; o != nil {
 		return o.Tracer.Trace()

@@ -459,15 +459,8 @@ func New(cfg Config) (*Grid, error) {
 	// shows up alongside the per-site job and load series.
 	if g.Obs != nil {
 		station := monalisa.NewStation(g.Eng, "igoc-obs", cfg.MonitorInterval)
-		station.AddAgent(monalisa.AgentFunc(func() []monalisa.Metric {
-			snap := g.Obs.Metrics.Snapshot()
-			out := make([]monalisa.Metric, 0, len(snap.Counters))
-			for _, c := range snap.Counters {
-				out = append(out, monalisa.Metric{Param: "obs." + c.Name, Value: float64(c.Value)})
-			}
-			return out
-		}))
-		station.Forward(g.metricSink())
+		station.AddAgent(&obsBridge{reg: g.Obs.Metrics})
+		g.publishMetrics(station)
 	}
 
 	// --- Housekeeping: prune terminal gram jobs, migrate archive files.
@@ -833,7 +826,7 @@ func (g *Grid) addSite(spec SiteSpec) error {
 	station.AddAgent(monalisa.GaugeAgent("grid3.gram.load", func() float64 {
 		return gk.Load()
 	}))
-	station.Forward(g.metricSink())
+	g.publishMetrics(station)
 	node.Station = station
 
 	// Site Status Catalog probes (§5.2).

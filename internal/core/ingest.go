@@ -2,7 +2,8 @@ package core
 
 // The per-VO usage ledger (Config.IngestBatch > 0). Station metrics, the
 // iGOC obs bridge included, commit to the central repository one by
-// one; on their way in they pass a window clock. When a metric arrives
+// one; on their way in they pass a window clock, a forward sink each
+// station runs just before it publishes the metric. When a metric arrives
 // in a later IngestWindow than the previous metric did, the previous
 // metric's window is over and the grid seals it: one UsageRecord per VO
 // (completed jobs from VOStats, CPU seconds from ACDC, bytes moved from
@@ -19,6 +20,7 @@ import (
 
 	"grid3/internal/ingest"
 	"grid3/internal/monalisa"
+	"grid3/internal/obs"
 	"grid3/internal/vo"
 )
 
@@ -39,22 +41,44 @@ func (g *Grid) setupIngest() {
 	g.metricWindow = -1
 }
 
-// metricSink returns the station forward target: the central
-// repository's Ingest, behind the ledger's window clock when the ledger
-// is armed.
-func (g *Grid) metricSink() func(monalisa.Metric) {
-	if g.Ledger == nil {
-		return g.Repo.Ingest
+// publishMetrics wires a station into the central repository, behind
+// the ledger's window clock when the ledger is armed.
+func (g *Grid) publishMetrics(station *monalisa.Station) {
+	if g.Ledger != nil {
+		station.Forward(g.clockMetric)
 	}
-	return g.clockMetric
+	station.Publish(g.Repo)
 }
 
-// clockMetric is the ledger's window clock. A metric arriving in a
-// later window than the previous metric seals the previous metric's
-// window, then commits. A window no metric falls in is never sealed;
-// its usage is carried by the next seal. Trailing silence folds into
-// the final seal at FinishIngest.
-func (g *Grid) clockMetric(m monalisa.Metric) {
+// obsBridge is the igoc-obs station's agent: it publishes the
+// registry's counter totals as "obs."-prefixed parameters, in
+// registration order, building each name once.
+type obsBridge struct {
+	reg   *obs.Registry
+	names []string
+	out   []monalisa.Metric
+}
+
+// Collect implements monalisa.Agent.
+func (b *obsBridge) Collect() []monalisa.Metric {
+	counters := b.reg.Counters()
+	for _, c := range counters[len(b.names):] {
+		b.names = append(b.names, "obs."+c.Name())
+	}
+	b.out = b.out[:0]
+	for i, c := range counters {
+		b.out = append(b.out, monalisa.Metric{Param: b.names[i], Value: float64(c.Value())})
+	}
+	return b.out
+}
+
+// clockMetric is the ledger's window clock, a station forward sink that
+// sees each metric just before the repository does. A metric arriving
+// in a later window than the previous metric seals the previous
+// metric's window. A window no metric falls in is never sealed; its
+// usage is carried by the next seal. Trailing silence folds into the
+// final seal at FinishIngest.
+func (g *Grid) clockMetric(monalisa.Metric) {
 	w := g.Cfg.IngestWindow
 	if idx := int64(g.Eng.Now() / w); idx != g.metricWindow {
 		closed := g.metricWindow
@@ -64,7 +88,6 @@ func (g *Grid) clockMetric(m monalisa.Metric) {
 			g.sealUsage(uint64(closed), time.Duration(closed)*w, time.Duration(closed+1)*w)
 		}
 	}
-	g.Repo.Ingest(m)
 }
 
 // sealUsage samples cumulative accounting, converts to window deltas,

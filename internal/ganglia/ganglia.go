@@ -11,6 +11,7 @@ package ganglia
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,36 +25,49 @@ type Gauge func() float64
 
 // Gmond is a node- or cluster-level metric daemon: a named set of gauges.
 type Gmond struct {
-	Host   string
-	gauges map[string]Gauge
+	Host string
+	// gauges is sorted by metric name; regs counts Register calls, so a
+	// gmetad can tell that its table of this gmond's gauges is stale.
+	gauges []gauge
+	regs   uint64
+}
+
+type gauge struct {
+	metric string
+	fn     Gauge
 }
 
 // NewGmond creates a daemon for a host.
 func NewGmond(host string) *Gmond {
-	return &Gmond{Host: host, gauges: make(map[string]Gauge)}
+	return &Gmond{Host: host}
 }
 
-// Register adds a metric gauge.
+// Register adds a metric gauge, replacing any gauge of the same name.
 func (g *Gmond) Register(metric string, fn Gauge) {
-	g.gauges[metric] = fn
+	g.regs++
+	i := sort.Search(len(g.gauges), func(i int) bool { return g.gauges[i].metric >= metric })
+	if i < len(g.gauges) && g.gauges[i].metric == metric {
+		g.gauges[i].fn = fn
+		return
+	}
+	g.gauges = slices.Insert(g.gauges, i, gauge{metric, fn})
 }
 
 // Sample reads all gauges.
 func (g *Gmond) Sample() map[string]float64 {
 	out := make(map[string]float64, len(g.gauges))
-	for m, fn := range g.gauges {
-		out[m] = fn()
+	for _, ga := range g.gauges {
+		out[ga.metric] = ga.fn()
 	}
 	return out
 }
 
 // Metrics returns registered metric names, sorted.
 func (g *Gmond) Metrics() []string {
-	out := make([]string, 0, len(g.gauges))
-	for m := range g.gauges {
-		out = append(out, m)
+	out := make([]string, len(g.gauges))
+	for i, ga := range g.gauges {
+		out[i] = ga.metric
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -68,14 +82,28 @@ type ClusterSummary struct {
 
 // Gmetad polls a set of gmonds on a fixed interval, keeps the latest
 // cluster summary, and records each metric into an RRD for history.
+//
+// It polls through a metric table: the sorted union of its gmonds'
+// metrics, with one database and one sum per metric, and the slot (table
+// index) of each watched gmond's gauges in gmond order. The first poll
+// builds the table; a later poll rebuilds it only when a gmond has been
+// watched or has registered a gauge since. A poll then costs no map
+// access and no allocation.
 type Gmetad struct {
 	eng     sim.Scheduler
 	cluster string
 	gmonds  []*Gmond
 	ticker  *sim.Ticker
-	last    ClusterSummary
-	history map[string]*rrd.Database
 	specs   []rrd.ArchiveSpec
+
+	// The metric table, as of the last poll.
+	metrics []string
+	history []*rrd.Database
+	sums    []float64
+	slots   []int    // the table index of each watched gmond's gauges
+	regs    []uint64 // each watched gmond's registration count at build
+	polled  bool
+	at      time.Duration
 }
 
 // DefaultArchives is the Grid3 dashboard configuration: 5-minute buckets
@@ -91,7 +119,6 @@ func NewGmetad(eng sim.Scheduler, cluster string, interval time.Duration) *Gmeta
 	g := &Gmetad{
 		eng:     eng,
 		cluster: cluster,
-		history: make(map[string]*rrd.Database),
 		specs:   DefaultArchives,
 	}
 	g.ticker = sim.NewTicker(eng, interval, g.poll)
@@ -108,40 +135,104 @@ func (g *Gmetad) Watch(m *Gmond) { g.gmonds = append(g.gmonds, m) }
 func (g *Gmetad) Stop() { g.ticker.Stop() }
 
 func (g *Gmetad) poll() {
-	sum := ClusterSummary{
-		Cluster: g.cluster,
-		Time:    g.eng.Now(),
-		Hosts:   len(g.gmonds),
-		Metrics: make(map[string]float64),
+	if g.stale() {
+		g.build()
 	}
+	clear(g.sums)
+	// A float sum depends on its order: each metric adds its gmonds'
+	// values in the order the gmonds were watched.
+	k := 0
 	for _, m := range g.gmonds {
-		for metric, v := range m.Sample() {
-			sum.Metrics[metric] += v
+		for _, ga := range m.gauges {
+			g.sums[g.slots[k]] += ga.fn()
+			k++
 		}
 	}
-	g.last = sum
-	// Every metric has its own RRD, so the map's iteration order cannot
-	// show in the history.
-	for metric, v := range sum.Metrics {
-		db, ok := g.history[metric]
-		if !ok {
-			db = rrd.MustNew(g.specs...)
-			g.history[metric] = db
-		}
-		db.Update(sum.Time, v)
+	g.polled, g.at = true, g.eng.Now()
+	for i, db := range g.history {
+		db.Update(g.at, g.sums[i])
 	}
 }
 
-// Summary returns the most recent cluster summary.
-func (g *Gmetad) Summary() ClusterSummary { return g.last }
+// stale reports whether the metric table misses a gmond or a gauge.
+func (g *Gmetad) stale() bool {
+	if len(g.regs) != len(g.gmonds) {
+		return true
+	}
+	for i, m := range g.gmonds {
+		if m.regs != g.regs[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// build rebuilds the metric table, keeping each known metric's database.
+// Gmonds only gain metrics, so every old metric is still in the table.
+func (g *Gmetad) build() {
+	var metrics []string
+	for _, m := range g.gmonds {
+		for _, ga := range m.gauges {
+			metrics = append(metrics, ga.metric)
+		}
+	}
+	slices.Sort(metrics)
+	metrics = slices.Compact(metrics)
+	history := make([]*rrd.Database, len(metrics))
+	for i, name := range metrics {
+		if j, ok := slices.BinarySearch(g.metrics, name); ok {
+			history[i] = g.history[j]
+		} else {
+			history[i] = rrd.MustNew(g.specs...)
+		}
+	}
+	g.metrics, g.history = metrics, history
+	g.sums = make([]float64, len(metrics))
+	g.slots, g.regs = g.slots[:0], g.regs[:0]
+	for _, m := range g.gmonds {
+		for _, ga := range m.gauges {
+			i, _ := slices.BinarySearch(metrics, ga.metric)
+			g.slots = append(g.slots, i)
+		}
+		g.regs = append(g.regs, m.regs)
+	}
+}
+
+// Summary returns the most recent cluster summary, built from the last
+// poll's sums; it is the zero ClusterSummary before the first poll.
+func (g *Gmetad) Summary() ClusterSummary {
+	if !g.polled {
+		return ClusterSummary{}
+	}
+	sum := ClusterSummary{
+		Cluster: g.cluster,
+		Time:    g.at,
+		Hosts:   len(g.regs),
+		Metrics: make(map[string]float64, len(g.metrics)),
+	}
+	for i, name := range g.metrics {
+		sum.Metrics[name] = g.sums[i]
+	}
+	return sum
+}
+
+// last returns the last poll's sum of one metric, 0 when no poll has
+// seen it.
+func (g *Gmetad) last(metric string) float64 {
+	if i, ok := slices.BinarySearch(g.metrics, metric); ok {
+		return g.sums[i]
+	}
+	return 0
+}
 
 // History returns consolidated points of a metric from archive idx in
 // (from, to].
 func (g *Gmetad) History(metric string, idx int, from, to time.Duration) ([]rrd.Point, error) {
-	db, ok := g.history[metric]
+	i, ok := slices.BinarySearch(g.metrics, metric)
 	if !ok {
 		return nil, fmt.Errorf("ganglia: no history for metric %q at %s", metric, g.cluster)
 	}
+	db := g.history[i]
 	db.FlushTo(g.eng.Now())
 	return db.Fetch(idx, from, to)
 }
@@ -174,7 +265,7 @@ func (g *Grid) Summaries() []ClusterSummary {
 func (g *Grid) Total(metric string) float64 {
 	t := 0.0
 	for _, m := range g.metads {
-		t += m.last.Metrics[metric]
+		t += m.last(metric)
 	}
 	return t
 }

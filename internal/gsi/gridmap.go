@@ -88,8 +88,8 @@ func (m *Gridmap) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ParseGridmap reads grid-mapfile format. Blank lines and '#' comments are
-// ignored. DNs must be double-quoted; the account is the remainder of the
-// line.
+// ignored. DNs must be double-quoted and must not be empty once proxy
+// components are stripped; the account is the remainder of the line.
 func ParseGridmap(r io.Reader) (*Gridmap, error) {
 	m := NewGridmap()
 	sc := bufio.NewScanner(r)
@@ -111,6 +111,11 @@ func ParseGridmap(r io.Reader) (*Gridmap, error) {
 		acct := strings.TrimSpace(line[2+end:])
 		if dn == "" || acct == "" {
 			return nil, fmt.Errorf("%w: line %d: empty DN or account", ErrMalformedGridmap, lineno)
+		}
+		// Map strips proxy components; a DN made only of them would be
+		// stored, and written back, as the empty DN this parser refuses.
+		if StripProxy(dn) == "" {
+			return nil, fmt.Errorf("%w: line %d: DN %q is empty without its proxy components", ErrMalformedGridmap, lineno, dn)
 		}
 		m.Map(dn, acct)
 	}

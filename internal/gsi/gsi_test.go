@@ -2,6 +2,8 @@ package gsi
 
 import (
 	"bytes"
+	"errors"
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -219,11 +221,18 @@ func TestGridmapParseErrors(t *testing.T) {
 		`"/CN=unterminated usatlas`,
 		`"" usatlas`,
 		`"/CN=noaccount" `,
+		`"/CN=proxy" usatlas`,
+		`"/CN=proxy/CN=proxy" usatlas`,
 	}
 	for _, c := range cases {
 		if _, err := ParseGridmap(strings.NewReader(c)); err == nil {
 			t.Fatalf("no error for malformed line %q", c)
 		}
+	}
+	// The error names the line.
+	_, err := ParseGridmap(strings.NewReader("\"/CN=x\" acct\n\n\"/CN=proxy\" usatlas\n"))
+	if !errors.Is(err, ErrMalformedGridmap) || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("proxy-only DN on line 3: error %v", err)
 	}
 	// Comments and blanks are fine.
 	ok := "# comment\n\n\"/CN=x\" acct\n"
@@ -269,4 +278,38 @@ func TestGridmapRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseGridmap: parsing never panics, and whatever the parser accepts
+// it can write back: the written file parses to the same DNs and accounts,
+// and writing that again gives the same bytes.
+func FuzzParseGridmap(f *testing.F) {
+	f.Add([]byte(`"/CN=proxy" usatlas`))
+	f.Add([]byte("# grid-mapfile\n\n\"/DC=org/DC=doegrids/OU=People/CN=Jane Doe\" usatlas\n"))
+	f.Add([]byte("\"/CN=a/CN=proxy\" uscms\n\"/CN=a\" ivdgl\n  \"/CN=b\"sdss  \r\n"))
+	f.Add([]byte(`"/O=Grid/CN=x" two words`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseGridmap(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if _, err := m.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseGridmap(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written map %q does not parse: %v", first.Bytes(), err)
+		}
+		if !maps.Equal(m.entries, again.entries) {
+			t.Fatalf("round trip changed the map: %q became %q", m.entries, again.entries)
+		}
+		var second bytes.Buffer
+		if _, err := again.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("second write differs:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }

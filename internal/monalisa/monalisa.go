@@ -33,7 +33,9 @@ type Metric struct {
 // compute element usage, I/O) implement this.
 type Agent interface {
 	// Collect returns current metric values; Farm and Time are filled in
-	// by the station server.
+	// by the station server. The returned slice may be the agent's own
+	// buffer: the station reads it before the next Collect and keeps no
+	// reference to it.
 	Collect() []Metric
 }
 
@@ -45,9 +47,18 @@ func (f AgentFunc) Collect() []Metric { return f() }
 
 // GaugeAgent monitors one named parameter via a closure.
 func GaugeAgent(param string, fn func() float64) Agent {
-	return AgentFunc(func() []Metric {
-		return []Metric{{Param: param, Value: fn()}}
-	})
+	return &gaugeAgent{fn: fn, out: [1]Metric{{Param: param}}}
+}
+
+// gaugeAgent collects into a one-element buffer it owns.
+type gaugeAgent struct {
+	fn  func() float64
+	out [1]Metric
+}
+
+func (a *gaugeAgent) Collect() []Metric {
+	a.out[0].Value = a.fn()
+	return a.out[:]
 }
 
 // Station is a site's MonALISA server: it polls local agents on an
@@ -59,6 +70,10 @@ type Station struct {
 	agents []Agent
 	sinks  []func(Metric)
 	ticker *sim.Ticker
+	// repo is the repository the station publishes to, if any, and
+	// resolved[i] the series its i-th metric of a poll went to last time.
+	repo     *Repository
+	resolved []*series
 }
 
 // NewStation creates a station server for a farm (site), polling at the
@@ -78,11 +93,21 @@ func (s *Station) AddAgent(a Agent) { s.agents = append(s.agents, a) }
 // Forward adds a metric sink (repository, filter, or client).
 func (s *Station) Forward(sink func(Metric)) { s.sinks = append(s.sinks, sink) }
 
+// Publish makes r the station's repository: each metric goes to r after
+// the forward sinks have seen it, as r.Ingest would store it. The station
+// remembers the series each output position of a poll resolved to and
+// looks r up again only when the parameter at that position changes.
+func (s *Station) Publish(r *Repository) {
+	s.repo = r
+	s.resolved = s.resolved[:0]
+}
+
 // Stop halts polling.
 func (s *Station) Stop() { s.ticker.Stop() }
 
 func (s *Station) poll() {
 	now := s.eng.Now()
+	pos := 0
 	for _, a := range s.agents {
 		for _, m := range a.Collect() {
 			m.Farm = s.farm
@@ -90,8 +115,28 @@ func (s *Station) poll() {
 			for _, sink := range s.sinks {
 				sink(m)
 			}
+			if s.repo != nil {
+				s.repo.store(s.seriesAt(pos, m.Param), m)
+			}
+			pos++
 		}
 	}
+}
+
+// seriesAt returns the repository series of the station's metric at
+// output position pos, resolving it when the position is new or its
+// parameter changed.
+func (s *Station) seriesAt(pos int, param string) *series {
+	if pos < len(s.resolved) && s.resolved[pos].param == param {
+		return s.resolved[pos]
+	}
+	sr := s.repo.lookup(s.farm, param)
+	if pos < len(s.resolved) {
+		s.resolved[pos] = sr
+	} else {
+		s.resolved = append(s.resolved, sr)
+	}
+	return sr
 }
 
 // Filter is an intermediary: it transforms or drops metrics before
@@ -117,8 +162,7 @@ func Scale(factor float64, next func(Metric)) func(Metric) {
 // plus live subscriptions.
 type Repository struct {
 	clock  sim.Clock
-	series map[seriesKey]*rrd.Database
-	last   map[seriesKey]Metric
+	series map[seriesKey]*series
 	specs  []rrd.ArchiveSpec
 	subs   []subscription
 }
@@ -126,6 +170,15 @@ type Repository struct {
 // seriesKey identifies a series by its (farm, parameter) pair, so the
 // ingest path looks series up without building a joined name.
 type seriesKey struct{ farm, param string }
+
+// series is one (farm, parameter) series: its ring and its latest
+// accepted sample.
+type series struct {
+	farm, param string
+	db          *rrd.Database
+	last        Metric
+	hasLast     bool
+}
 
 type subscription struct {
 	pred func(Metric) bool
@@ -143,25 +196,32 @@ var DefaultArchives = []rrd.ArchiveSpec{
 func NewRepository(clock sim.Clock) *Repository {
 	return &Repository{
 		clock:  clock,
-		series: make(map[seriesKey]*rrd.Database),
-		last:   make(map[seriesKey]Metric),
+		series: make(map[seriesKey]*series),
 		specs:  DefaultArchives,
 	}
 }
 
 // Ingest stores a metric; use it as a Station sink.
-func (r *Repository) Ingest(m Metric) {
-	key := seriesKey{m.Farm, m.Param}
-	db, ok := r.series[key]
+func (r *Repository) Ingest(m Metric) { r.store(r.lookup(m.Farm, m.Param), m) }
+
+// lookup returns the series of (farm, param), creating it on first use.
+func (r *Repository) lookup(farm, param string) *series {
+	key := seriesKey{farm, param}
+	sr, ok := r.series[key]
 	if !ok {
-		db = rrd.MustNew(r.specs...)
-		r.series[key] = db
+		sr = &series{farm: farm, param: param, db: rrd.MustNew(r.specs...)}
+		r.series[key] = sr
 	}
+	return sr
+}
+
+// store records m into its series sr and delivers it to subscribers.
+func (r *Repository) store(sr *series, m Metric) {
 	// Late-arriving samples from a slow station are dropped rather than
 	// corrupting the ring (RRD semantics), and do not become the series'
 	// latest sample either; live subscribers still see them.
-	if db.Update(m.Time, m.Value) == nil {
-		r.last[key] = m
+	if sr.db.Update(m.Time, m.Value) == nil {
+		sr.last, sr.hasLast = m, true
 	}
 	for _, sub := range r.subs {
 		if sub.pred == nil || sub.pred(m) {
@@ -177,8 +237,10 @@ func (r *Repository) Subscribe(pred func(Metric) bool, fn func(Metric)) {
 
 // Last returns the latest sample of a series.
 func (r *Repository) Last(farm, param string) (Metric, bool) {
-	m, ok := r.last[seriesKey{farm, param}]
-	return m, ok
+	if sr, ok := r.series[seriesKey{farm, param}]; ok && sr.hasLast {
+		return sr.last, true
+	}
+	return Metric{}, false
 }
 
 // Series lists known series as "farm/param" names, sorted.
@@ -193,12 +255,12 @@ func (r *Repository) Series() []string {
 
 // History fetches consolidated points for one series from archive idx.
 func (r *Repository) History(farm, param string, idx int, from, to time.Duration) ([]rrd.Point, error) {
-	db, ok := r.series[seriesKey{farm, param}]
+	sr, ok := r.series[seriesKey{farm, param}]
 	if !ok {
 		return nil, fmt.Errorf("monalisa: no series %s/%s", farm, param)
 	}
-	db.FlushTo(r.clock.Now())
-	return db.Fetch(idx, from, to)
+	sr.db.FlushTo(r.clock.Now())
+	return sr.db.Fetch(idx, from, to)
 }
 
 // FarmTotal sums the latest values of one parameter across all farms — the
@@ -207,9 +269,9 @@ func (r *Repository) History(farm, param string, idx int, from, to time.Duration
 // call.
 func (r *Repository) FarmTotal(param string) float64 {
 	var farms []Metric
-	for _, m := range r.last {
-		if m.Param == param {
-			farms = append(farms, m)
+	for _, sr := range r.series {
+		if sr.hasLast && sr.param == param {
+			farms = append(farms, sr.last)
 		}
 	}
 	sort.Slice(farms, func(i, j int) bool { return farms[i].Farm < farms[j].Farm })

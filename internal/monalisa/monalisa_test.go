@@ -1,9 +1,14 @@
 package monalisa
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"grid3/internal/rrd"
 	"grid3/internal/sim"
 )
 
@@ -194,5 +199,170 @@ func TestIngestKnownSeriesAllocatesNothing(t *testing.T) {
 	}
 	if last, ok := repo.Last(m.Farm, m.Param); !ok || last != m {
 		t.Fatalf("last = %+v, %v; want %+v", last, ok, m)
+	}
+}
+
+// refRepository is the two-map repository that the single series map
+// replaced, kept as the reference it must reproduce.
+type refRepository struct {
+	clock  sim.Clock
+	series map[seriesKey]*rrd.Database
+	last   map[seriesKey]Metric
+}
+
+func (r *refRepository) Ingest(m Metric) {
+	key := seriesKey{m.Farm, m.Param}
+	db, ok := r.series[key]
+	if !ok {
+		db = rrd.MustNew(DefaultArchives...)
+		r.series[key] = db
+	}
+	if db.Update(m.Time, m.Value) == nil {
+		r.last[key] = m
+	}
+}
+
+func (r *refRepository) Series() []string {
+	var out []string
+	for k := range r.series {
+		out = append(out, k.farm+"/"+k.param)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (r *refRepository) History(farm, param string, idx int, from, to time.Duration) ([]rrd.Point, bool) {
+	db, ok := r.series[seriesKey{farm, param}]
+	if !ok {
+		return nil, false
+	}
+	db.FlushTo(r.clock.Now())
+	pts, _ := db.Fetch(idx, from, to)
+	return pts, true
+}
+
+func (r *refRepository) FarmTotal(param string) float64 {
+	var farms []Metric
+	for _, m := range r.last {
+		if m.Param == param {
+			farms = append(farms, m)
+		}
+	}
+	sort.Slice(farms, func(i, j int) bool { return farms[i].Farm < farms[j].Farm })
+	t := 0.0
+	for _, m := range farms {
+		t += m.Value
+	}
+	return t
+}
+
+// sameBits compares floats bit for bit, so NaNs and signed zeros count.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestPublishedStationMatchesReference runs two stations whose agent
+// changes the parameter at an output position from poll to poll (and the
+// number of positions), publishing into a repository while the two-map
+// reference is fed the same metrics as a forward sink. Late samples
+// ingested directly into the same series are refused by both. Last,
+// History, Series and FarmTotal must agree bit for bit after every poll.
+func TestPublishedStationMatchesReference(t *testing.T) {
+	eng := sim.NewEngine(sim.Grid3Epoch)
+	repo := NewRepository(eng)
+	ref := &refRepository{clock: eng, series: map[seriesKey]*rrd.Database{}, last: map[seriesKey]Metric{}}
+	rng := rand.New(rand.NewSource(3))
+	params := []string{"jobs", "load", "vo.uscms.jobs", "vo.usatlas.jobs"}
+	farms := []string{"BNL_ATLAS", "UC_ATLAS_Tier2"}
+	for _, farm := range farms {
+		st := NewStation(eng, farm, 30*time.Minute)
+		var buf []Metric
+		st.AddAgent(AgentFunc(func() []Metric {
+			buf = buf[:0]
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				v := math.Round(rng.NormFloat64()*1e3) / 8
+				switch rng.Intn(10) {
+				case 0:
+					v = math.NaN()
+				case 1:
+					v = 1e16 * float64(1-2*rng.Intn(2))
+				}
+				buf = append(buf, Metric{Param: params[rng.Intn(len(params))], Value: v})
+			}
+			return buf
+		}))
+		st.AddAgent(GaugeAgent("grid3.gram.load", func() float64 { return float64(rng.Intn(9)) }))
+		st.Forward(ref.Ingest)
+		st.Publish(repo)
+	}
+	for poll := 1; poll <= 200; poll++ {
+		eng.RunUntil(time.Duration(poll) * 30 * time.Minute)
+		if poll%7 == 0 {
+			late := Metric{Farm: farms[poll%2], Param: params[poll%len(params)], Time: eng.Now() - time.Hour, Value: 1}
+			repo.Ingest(late)
+			ref.Ingest(late)
+		}
+		if got, want := repo.Series(), ref.Series(); !slices.Equal(got, want) {
+			t.Fatalf("poll %d: Series = %v, reference %v", poll, got, want)
+		}
+		for _, param := range append(params, "grid3.gram.load", "never") {
+			if got, want := repo.FarmTotal(param), ref.FarmTotal(param); !sameBits(got, want) {
+				t.Fatalf("poll %d: FarmTotal(%s) = %v, reference %v", poll, param, got, want)
+			}
+			for _, farm := range farms {
+				got, ok := repo.Last(farm, param)
+				want, wok := ref.last[seriesKey{farm, param}]
+				if ok != wok || got.Farm != want.Farm || got.Param != want.Param ||
+					got.Time != want.Time || !sameBits(got.Value, want.Value) {
+					t.Fatalf("poll %d: Last(%s, %s) = %+v, %v; reference %+v, %v", poll, farm, param, got, ok, want, wok)
+				}
+				for idx := range DefaultArchives {
+					pts, err := repo.History(farm, param, idx, 0, eng.Now())
+					rpts, rok := ref.History(farm, param, idx, 0, eng.Now())
+					if (err == nil) != rok || len(pts) != len(rpts) {
+						t.Fatalf("poll %d: History(%s, %s, %d) = %d points (%v), reference %d",
+							poll, farm, param, idx, len(pts), err, len(rpts))
+					}
+					for i := range pts {
+						if pts[i].Time != rpts[i].Time || !sameBits(pts[i].Value, rpts[i].Value) {
+							t.Fatalf("poll %d: History(%s, %s, %d)[%d] = %+v, reference %+v",
+								poll, farm, param, idx, i, pts[i], rpts[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStationPollAllocatesNothing: after the first poll has resolved each
+// output position's series, a poll collects, forwards and publishes
+// without allocating. Small rings, filled before the measurement, keep
+// ring growth out of it.
+func TestStationPollAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(sim.Grid3Epoch)
+	repo := NewRepository(eng)
+	repo.specs = []rrd.ArchiveSpec{
+		{Step: time.Minute, Rows: 8, CF: rrd.Average},
+		{Step: 5 * time.Minute, Rows: 4, CF: rrd.Max},
+	}
+	st := NewStation(eng, "UC_ATLAS_Tier2", time.Minute)
+	running := 0.0
+	st.AddAgent(GaugeAgent("grid3.jobs.running", func() float64 { running++; return running }))
+	st.AddAgent(GaugeAgent("grid3.jobs.queued", func() float64 { return running / 2 }))
+	st.AddAgent(GaugeAgent("grid3.gram.load", func() float64 { return 0.5 }))
+	forwarded := 0
+	st.Forward(func(Metric) { forwarded++ })
+	st.Publish(repo)
+	eng.RunUntil(time.Hour)
+	// One measured run of 100 polls: its count is exact, where an
+	// average over 100 runs would truncate a stray allocation away.
+	allocs := testing.AllocsPerRun(1, func() { eng.RunFor(100 * time.Minute) })
+	if allocs != 0 {
+		t.Fatalf("100 station polls allocated %v times, want 0", allocs)
+	}
+	if m, ok := repo.Last("UC_ATLAS_Tier2", "grid3.jobs.running"); !ok || m.Value != running || m.Time != eng.Now() {
+		t.Fatalf("last = %+v, %v; want %v at %v", m, ok, running, eng.Now())
+	}
+	if forwarded != 3*int(eng.Now()/time.Minute) {
+		t.Fatalf("forwarded %d metrics over %v", forwarded, eng.Now())
 	}
 }

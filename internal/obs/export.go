@@ -7,9 +7,9 @@ import (
 )
 
 // Trace is the query and export view over a set of recorded spans. It is
-// built once, after the run, from the tracer's span arena — exporters never
-// run on the simulation hot path, and in parallel sweeps each scenario's
-// trace is flushed by its own goroutine after the engine stops.
+// built once, after the run, from a copy of the tracer's spans — exporters
+// never run on the simulation hot path, and in parallel sweeps each
+// scenario's trace is flushed by its own goroutine after the engine stops.
 type Trace struct {
 	spans    []Span
 	children map[SpanID][]SpanID // built lazily

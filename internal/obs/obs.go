@@ -12,9 +12,10 @@
 // pointer whose methods are nil-receiver no-ops, so instrumented hot paths
 // pay one predictable branch and zero allocations when observability is off
 // (asserted by a test), keeping seeded runs bit-identical to the
-// pre-instrumentation simulator. When enabled, spans are appended to an
-// arena and histograms are fixed-bucket arrays — no maps or interface calls
-// on the hot path.
+// pre-instrumentation simulator. When enabled, spans fill fixed-size
+// blocks, so opening a span never copies the spans before it, and
+// histograms are fixed-bucket arrays — no maps or interface calls on the
+// hot path.
 //
 // Spans are recorded against sim-time (time.Duration offsets from the
 // engine epoch) with parent/child links, so a DAG's critical path is
@@ -117,10 +118,18 @@ func (s Span) Duration() time.Duration {
 // instrumented code never branches on "is tracing on" beyond the receiver
 // nil check the method itself performs.
 type Tracer struct {
-	clock  func() time.Duration
-	spans  []Span
+	clock func() time.Duration
+	// blocks hold the spans in creation order, spanBlock to a block: span
+	// ID i sits at blocks[(i-1)/spanBlock][(i-1)%spanBlock]. Every block
+	// but the last is full. A new block is allocated whole, except the
+	// first, which grows to spanBlock as spans arrive, so a short run pays
+	// for the spans it recorded.
+	blocks [][]Span
 	byKind [numKinds]*Histogram // per-stage duration histograms, may be nil
 }
+
+// spanBlock is the number of spans in a full block (136 KiB of spans).
+const spanBlock = 1024
 
 // NewTracer returns an enabled tracer reading sim-time from clock. If reg is
 // non-nil, every ended span feeds a per-kind duration histogram
@@ -145,13 +154,36 @@ func (t *Tracer) Begin(kind Kind, parent SpanID, job, vo, site string) SpanID {
 	if t == nil {
 		return 0
 	}
-	id := SpanID(len(t.spans) + 1)
-	t.spans = append(t.spans, Span{
+	n := len(t.blocks)
+	if n == 0 || len(t.blocks[n-1]) == spanBlock {
+		size := spanBlock
+		if n == 0 {
+			size = 16
+		}
+		t.blocks = append(t.blocks, make([]Span, 0, size))
+		n++
+	}
+	b := &t.blocks[n-1]
+	if len(*b) == cap(*b) {
+		// Only the first block is ever short of room: grow it
+		// geometrically up to a full block.
+		grown := make([]Span, len(*b), min(2*cap(*b), spanBlock))
+		copy(grown, *b)
+		*b = grown
+	}
+	id := SpanID((n-1)*spanBlock + len(*b) + 1)
+	*b = append(*b, Span{
 		ID: id, Parent: parent, Kind: kind,
 		Job: job, VO: vo, Site: site,
 		Start: t.clock(), End: -1,
 	})
 	return id
+}
+
+// span returns the stored span with the given nonzero ID.
+func (t *Tracer) span(id SpanID) *Span {
+	i := int(id - 1)
+	return &t.blocks[i/spanBlock][i%spanBlock]
 }
 
 // BeginTransfer opens a KindTransfer span carrying the transfer endpoints
@@ -160,7 +192,7 @@ func (t *Tracer) Begin(kind Kind, parent SpanID, job, vo, site string) SpanID {
 func (t *Tracer) BeginTransfer(parent SpanID, label, vo, src, dst string, bytes int64) SpanID {
 	id := t.Begin(KindTransfer, parent, label, vo, src)
 	if id != 0 {
-		sp := &t.spans[id-1]
+		sp := t.span(id)
 		sp.Peer = dst
 		sp.Bytes = bytes
 	}
@@ -173,7 +205,7 @@ func (t *Tracer) End(id SpanID) {
 	if t == nil || id == 0 {
 		return
 	}
-	sp := &t.spans[id-1]
+	sp := t.span(id)
 	if sp.ended {
 		return
 	}
@@ -189,7 +221,7 @@ func (t *Tracer) Fail(id SpanID, cause string) {
 	if t == nil || id == 0 {
 		return
 	}
-	sp := &t.spans[id-1]
+	sp := t.span(id)
 	if !sp.ended {
 		sp.Err = cause
 	}
@@ -201,27 +233,35 @@ func (t *Tracer) SetSite(id SpanID, site string) {
 	if t == nil || id == 0 {
 		return
 	}
-	t.spans[id-1].Site = site
+	t.span(id).Site = site
 }
 
 // Len returns the number of recorded spans.
 func (t *Tracer) Len() int {
-	if t == nil {
+	if t == nil || len(t.blocks) == 0 {
 		return 0
 	}
-	return len(t.spans)
+	n := len(t.blocks)
+	return (n-1)*spanBlock + len(t.blocks[n-1])
 }
 
-// Spans returns the recorded spans in creation order. The slice is the
-// tracer's own storage; callers must not mutate it.
+// Spans returns a copy of the recorded spans in creation order, assembled
+// from the tracer's blocks on each call, or nil when there are none. Call
+// it once, after the run.
 func (t *Tracer) Spans() []Span {
-	if t == nil {
+	n := t.Len()
+	if n == 0 {
 		return nil
 	}
-	return t.spans
+	out := make([]Span, 0, n)
+	for _, b := range t.blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
-// Trace returns the query/export view over everything recorded so far.
+// Trace returns the query/export view over a copy of everything recorded
+// so far (see Spans).
 func (t *Tracer) Trace() *Trace { return NewTrace(t.Spans()) }
 
 // Observer bundles the tracer and registry one scenario shares. A nil

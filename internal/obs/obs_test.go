@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,20 +46,120 @@ func TestNilTracerIsNoOpAndAllocFree(t *testing.T) {
 	}
 }
 
+// TestEnabledTracerSteadyPathDoesNotAllocate measures Begin and End inside
+// one block. AllocsPerRun truncates its average, so a stray allocation
+// could hide behind many calls; here one measured run makes every call,
+// its count is exact, and both it and AllocsPerRun's warm-up run land in
+// the block the priming opened, which no call fills.
 func TestEnabledTracerSteadyPathDoesNotAllocate(t *testing.T) {
 	clk := &fakeClock{}
-	tr := NewTracer(clk.Now, nil)
-	// Prime the arena so append has capacity, then measure the steady path.
-	for i := 0; i < 4096; i++ {
+	tr := NewTracer(clk.Now, NewRegistry())
+	// Fill the first block and open the second with one span, leaving
+	// room for spanBlock-1 more.
+	for i := 0; i < spanBlock+1; i++ {
 		tr.End(tr.Begin(KindRun, 0, "j", "vo", "s"))
 	}
-	tr.spans = tr.spans[:0]
-	allocs := testing.AllocsPerRun(1000, func() {
-		id := tr.Begin(KindRun, 0, "j", "vo", "s")
-		tr.End(id)
+	const calls = (spanBlock - 1) / 2
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < calls; i++ {
+			clk.now += time.Second
+			id := tr.Begin(KindRun, 0, "j", "vo", "s")
+			tr.End(id)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-path Begin/End allocated %.1f per op, want 0", allocs)
+		t.Fatalf("%d steady-path Begin/End pairs allocated %.0f times, want 0", calls, allocs)
+	}
+	if len(tr.blocks) != 2 || len(tr.blocks[1]) != 1+2*calls {
+		t.Fatalf("measured runs left %d blocks, the last holding %d spans; want 2 and %d",
+			len(tr.blocks), len(tr.blocks[len(tr.blocks)-1]), 1+2*calls)
+	}
+}
+
+// TestSpanBlocksMatchReference drives a tracer across several block
+// boundaries and a plain slice through the same operations: End, Fail and
+// SetSite on random earlier spans (most of them in earlier blocks) and
+// BeginTransfer among the Begins. Spans must equal the slice, and each ID
+// must read back its own span.
+func TestSpanBlocksMatchReference(t *testing.T) {
+	clk := &fakeClock{}
+	tr := NewTracer(clk.Now, nil)
+	var ref []Span
+	refEnd := func(id SpanID) {
+		if sp := &ref[id-1]; !sp.ended {
+			sp.ended = true
+			sp.End = clk.now
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for len(ref) < 3*spanBlock+spanBlock/2 {
+		clk.now += time.Duration(rng.Intn(90)) * time.Second
+		job := "job-" + strconv.Itoa(len(ref))
+		switch r := rng.Intn(10); {
+		case r == 0:
+			parent, size := SpanID(rng.Intn(len(ref)+1)), rng.Int63n(1<<40)
+			tr.BeginTransfer(parent, job, "ivdgl", "src", "dst", size)
+			ref = append(ref, Span{ID: SpanID(len(ref) + 1), Parent: parent, Kind: KindTransfer,
+				Job: job, VO: "ivdgl", Site: "src", Peer: "dst", Bytes: size, Start: clk.now, End: -1})
+		default:
+			parent := SpanID(rng.Intn(len(ref) + 1))
+			kind := Kind(rng.Intn(int(numKinds)))
+			tr.Begin(kind, parent, job, "uscms", "")
+			ref = append(ref, Span{ID: SpanID(len(ref) + 1), Parent: parent, Kind: kind,
+				Job: job, VO: "uscms", Start: clk.now, End: -1})
+		}
+		if tr.Len() != len(ref) {
+			t.Fatalf("Len = %d after %d spans", tr.Len(), len(ref))
+		}
+		id := SpanID(1 + rng.Intn(len(ref)))
+		switch rng.Intn(4) {
+		case 0:
+			tr.End(id)
+			refEnd(id)
+		case 1:
+			cause := "cause-" + strconv.Itoa(int(id))
+			tr.Fail(id, cause)
+			if !ref[id-1].ended {
+				ref[id-1].Err = cause
+			}
+			refEnd(id)
+		case 2:
+			site := "site-" + strconv.Itoa(len(ref))
+			tr.SetSite(id, site)
+			ref[id-1].Site = site
+		}
+	}
+	got := tr.Spans()
+	if !reflect.DeepEqual(got, ref) {
+		for i := range ref {
+			if i >= len(got) || !reflect.DeepEqual(got[i], ref[i]) {
+				t.Fatalf("span %d: got %+v, want %+v", i+1, got[i], ref[i])
+			}
+		}
+		t.Fatalf("Spans holds %d spans, want %d", len(got), len(ref))
+	}
+	trace := tr.Trace()
+	for _, id := range []SpanID{1, spanBlock, spanBlock + 1, 2 * spanBlock, SpanID(len(ref))} {
+		if sp, ok := trace.Span(id); !ok || sp.ID != id || !reflect.DeepEqual(sp, ref[id-1]) {
+			t.Fatalf("Trace.Span(%d) = %+v, %v; want %+v", id, sp, ok, ref[id-1])
+		}
+	}
+	// Spans is a copy: writing to it leaves the tracer's spans alone.
+	got[0].Site = "scribbled"
+	if tr.Spans()[0].Site == "scribbled" {
+		t.Fatal("Spans returned the tracer's own storage")
+	}
+}
+
+// TestFirstSpanBlockGrows: a short run pays for the spans it recorded, not
+// for a whole block.
+func TestFirstSpanBlockGrows(t *testing.T) {
+	tr := NewTracer((&fakeClock{}).Now, nil)
+	for i := 0; i < 20; i++ {
+		tr.Begin(KindJob, 0, "j", "vo", "")
+	}
+	if c := cap(tr.blocks[0]); c >= spanBlock || c < 20 {
+		t.Fatalf("first block capacity %d after 20 spans, want at least 20 and below %d", c, spanBlock)
 	}
 }
 

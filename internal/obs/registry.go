@@ -282,6 +282,16 @@ func (r *Registry) Gauge(name string, fn func() float64) *Gauge {
 	return g
 }
 
+// Counters returns the registered counters in registration order. The
+// slice is the registry's own and grows as counters are registered;
+// callers must not modify it.
+func (r *Registry) Counters() []*Counter {
+	if r == nil {
+		return nil
+	}
+	return r.counterOrder
+}
+
 // CounterSample and GaugeSample are snapshot rows.
 type CounterSample struct {
 	Name  string

@@ -7,10 +7,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"time"
 
 	"grid3/internal/apps"
 	"grid3/internal/goc"
+	"grid3/internal/gsi"
 	"grid3/internal/rls"
 	"grid3/internal/vo"
 )
@@ -233,6 +235,10 @@ func (s *Service) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errDTO("dn is required"))
 		return
 	}
+	if problem := gridmapDNProblem(req.DN); problem != "" {
+		writeJSON(w, http.StatusBadRequest, errDTO(fmt.Sprintf("dn %q %s", req.DN, problem)))
+		return
+	}
 	roles, rerr := parseRoles(req.Roles)
 	if rerr != nil {
 		writeJSON(w, http.StatusBadRequest, errDTO(rerr.Error()))
@@ -261,6 +267,23 @@ func (s *Service) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"vo": voName, "dn": req.DN, "members": total})
+}
+
+// gridmapDNProblem says why a grid-mapfile cannot carry dn, or returns ""
+// when it can. An enrolled DN is written into every site's grid-mapfile,
+// one quoted DN per line, with its proxy components stripped.
+func gridmapDNProblem(dn string) string {
+	switch {
+	case !strings.HasPrefix(dn, "/"):
+		return "does not start with '/'"
+	case strings.Contains(dn, `"`):
+		return "contains a double quote"
+	case strings.Contains(dn, "\n"):
+		return "contains a newline"
+	case gsi.StripProxy(dn) == "":
+		return "is empty without its proxy components"
+	}
+	return ""
 }
 
 // --- jobs ------------------------------------------------------------------

@@ -131,6 +131,25 @@ func TestHandlerEnroll(t *testing.T) {
 	postJSON(t, url, map[string]any{"name": "x"}, http.StatusBadRequest)                                 // no dn
 	postJSON(t, url, map[string]any{"dn": "/CN=y", "roles": []string{"royalty"}}, http.StatusBadRequest) // bad role
 	postJSON(t, ts.URL+"/api/v1/vo/nosuch/members", body, http.StatusNotFound)
+
+	// DNs a grid-mapfile cannot carry are refused before they reach the
+	// engine or the journal, each with the rule it breaks.
+	for _, c := range []struct{ dn, want string }{
+		{"/CN=proxy", "empty without its proxy components"},
+		{"CN=no slash", "does not start with '/'"},
+		{`/DC=org/CN=Quote "Q" User`, "double quote"},
+		{"/DC=org/CN=Line\nBreak", "newline"},
+	} {
+		out := postJSON(t, url, map[string]any{"dn": c.dn, "name": "x"}, http.StatusBadRequest)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, c.want) {
+			t.Errorf("enroll %q: error %q does not say %q", c.dn, msg, c.want)
+		}
+	}
+	var journaled int
+	s.Do(func() { journaled = len(s.journal) })
+	if journaled != 1 {
+		t.Fatalf("journal holds %d operations, want only the one valid enrollment", journaled)
+	}
 }
 
 func TestHandlerSubmitAndJobStatus(t *testing.T) {

@@ -18,6 +18,8 @@
 #   5. checkpoint/restore matches straight-through, corrupt snapshots
 #      are refused
 #   6. arming the usage ledger (-ingest-batch) leaves the output unchanged
+#   7. a traced 300-site run with health, recovery and the ledger armed:
+#      stdout, the span JSONL and the metrics text match across two runs
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -82,5 +84,21 @@ echo '== determinism: arming the usage ledger leaves the output unchanged'
 same "$WORK/run-plain.txt" "$WORK/run-batched.txt"
 "$SIM" -days 20 -scale 0.1 -seed 7 -ingest-batch 32 -ingest-window 30m > "$WORK/run-batched-win.txt"
 same "$WORK/run-plain.txt" "$WORK/run-batched-win.txt"
+
+echo '== determinism: traced run, spans and metrics'
+# Both runs write the same paths, the first run's files moved aside, so
+# the stdout lines naming them match; the summary line's wall time is cut
+# before the diff.
+for run in a b; do
+    "$SIM" -sites 300 -days 3 -scale 0.1 -seed 7 -health -recovery -ingest-batch 64 \
+        -trace-out "$WORK/spans.jsonl" -metrics-out "$WORK/metrics.txt" -quiet > "$WORK/traced.txt"
+    sed 's/, ran in [^ ]*$//' "$WORK/traced.txt" > "$WORK/traced-$run.txt"
+    mv "$WORK/spans.jsonl" "$WORK/spans-$run.jsonl"
+    mv "$WORK/metrics.txt" "$WORK/metrics-$run.txt"
+done
+test -s "$WORK/spans-a.jsonl"
+diff "$WORK/traced-a.txt" "$WORK/traced-b.txt"
+cmp "$WORK/spans-a.jsonl" "$WORK/spans-b.jsonl"
+cmp "$WORK/metrics-a.txt" "$WORK/metrics-b.txt"
 
 echo 'determinism: OK'
