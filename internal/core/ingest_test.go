@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"grid3/internal/ingest"
+	"grid3/internal/monalisa"
+	"grid3/internal/obs"
 	"grid3/internal/vo"
 )
 
@@ -253,5 +256,38 @@ func TestMonitoringReadsKeepLedger(t *testing.T) {
 			t.Fatalf("window %d: read run has index %d root %x, unread run index %d root %x",
 				i, got[i].Index, got[i].Root, want[i].Index, want[i].Root)
 		}
+	}
+}
+
+// TestObsBridgeMatchesSnapshot: the igoc-obs bridge publishes what an
+// agent built on Registry.Snapshot publishes, a counter registered after
+// a poll included, and once every name is built a poll allocates
+// nothing.
+func TestObsBridgeMatchesSnapshot(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("condorg.matches").Add(3)
+	reg.Gauge("condorg.idle", func() float64 { return 7 })
+	reg.Histogram("span.run.seconds", obs.DurationBounds).Observe(60)
+	reg.Counter("gram.submits")
+	snapshotAgent := func() []monalisa.Metric {
+		var out []monalisa.Metric
+		for _, c := range reg.Snapshot().Counters {
+			out = append(out, monalisa.Metric{Param: "obs." + c.Name, Value: float64(c.Value)})
+		}
+		return out
+	}
+	b := &obsBridge{reg: reg}
+	poll := func(when string) {
+		t.Helper()
+		if got, want := b.Collect(), snapshotAgent(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: bridge collected %+v, want %+v", when, got, want)
+		}
+	}
+	poll("first poll")
+	reg.Counter("condorg.matches").Inc()
+	reg.Counter("gridftp.retries").Add(2)
+	poll("after a new counter")
+	if allocs := testing.AllocsPerRun(100, func() { b.Collect() }); allocs != 0 {
+		t.Fatalf("a bridge poll allocated %v times, want 0", allocs)
 	}
 }

@@ -25,11 +25,8 @@ type Gauge func() float64
 
 // Gmond is a node- or cluster-level metric daemon: a named set of gauges.
 type Gmond struct {
-	Host string
-	// gauges is sorted by metric name; regs counts Register calls, so a
-	// gmetad can tell that its table of this gmond's gauges is stale.
-	gauges []gauge
-	regs   uint64
+	Host   string
+	gauges []gauge // sorted by metric name
 }
 
 type gauge struct {
@@ -44,22 +41,12 @@ func NewGmond(host string) *Gmond {
 
 // Register adds a metric gauge, replacing any gauge of the same name.
 func (g *Gmond) Register(metric string, fn Gauge) {
-	g.regs++
 	i := sort.Search(len(g.gauges), func(i int) bool { return g.gauges[i].metric >= metric })
 	if i < len(g.gauges) && g.gauges[i].metric == metric {
 		g.gauges[i].fn = fn
 		return
 	}
 	g.gauges = slices.Insert(g.gauges, i, gauge{metric, fn})
-}
-
-// Sample reads all gauges.
-func (g *Gmond) Sample() map[string]float64 {
-	out := make(map[string]float64, len(g.gauges))
-	for _, ga := range g.gauges {
-		out[ga.metric] = ga.fn()
-	}
-	return out
 }
 
 // Metrics returns registered metric names, sorted.
@@ -87,8 +74,10 @@ type ClusterSummary struct {
 // metrics, with one database and one sum per metric, and the slot (table
 // index) of each watched gmond's gauges in gmond order. The first poll
 // builds the table; a later poll rebuilds it only when a gmond has been
-// watched or has registered a gauge since. A poll then costs no map
-// access and no allocation.
+// watched or has gained a gauge since. Gauges never leave a gmond and a
+// poll calls each gauge's current function, so the gmond and gauge
+// counts tell when the table is stale. A poll then costs no map access
+// and no allocation.
 type Gmetad struct {
 	eng     sim.Scheduler
 	cluster string
@@ -100,8 +89,8 @@ type Gmetad struct {
 	metrics []string
 	history []*rrd.Database
 	sums    []float64
-	slots   []int    // the table index of each watched gmond's gauges
-	regs    []uint64 // each watched gmond's registration count at build
+	slots   []int // the table index of each watched gmond's gauges
+	hosts   int   // the number of gmonds the table covers
 	polled  bool
 	at      time.Duration
 }
@@ -156,15 +145,14 @@ func (g *Gmetad) poll() {
 
 // stale reports whether the metric table misses a gmond or a gauge.
 func (g *Gmetad) stale() bool {
-	if len(g.regs) != len(g.gmonds) {
+	if g.hosts != len(g.gmonds) {
 		return true
 	}
-	for i, m := range g.gmonds {
-		if m.regs != g.regs[i] {
-			return true
-		}
+	n := 0
+	for _, m := range g.gmonds {
+		n += len(m.gauges)
 	}
-	return false
+	return n != len(g.slots)
 }
 
 // build rebuilds the metric table, keeping each known metric's database.
@@ -188,13 +176,12 @@ func (g *Gmetad) build() {
 	}
 	g.metrics, g.history = metrics, history
 	g.sums = make([]float64, len(metrics))
-	g.slots, g.regs = g.slots[:0], g.regs[:0]
+	g.slots, g.hosts = g.slots[:0], len(g.gmonds)
 	for _, m := range g.gmonds {
 		for _, ga := range m.gauges {
 			i, _ := slices.BinarySearch(metrics, ga.metric)
 			g.slots = append(g.slots, i)
 		}
-		g.regs = append(g.regs, m.regs)
 	}
 }
 
@@ -207,7 +194,7 @@ func (g *Gmetad) Summary() ClusterSummary {
 	sum := ClusterSummary{
 		Cluster: g.cluster,
 		Time:    g.at,
-		Hosts:   len(g.regs),
+		Hosts:   g.hosts,
 		Metrics: make(map[string]float64, len(g.metrics)),
 	}
 	for i, name := range g.metrics {

@@ -11,18 +11,29 @@ import (
 	"grid3/internal/sim"
 )
 
+// TestGmondSample: a gmetad poll reads each gauge live, and Register
+// replaces a gauge of the same name.
 func TestGmondSample(t *testing.T) {
+	eng := sim.NewEngine(sim.Grid3Epoch)
+	gm := NewGmetad(eng, "site", 5*time.Minute)
 	g := NewGmond("wn01.uchicago.edu")
 	load := 0.5
 	g.Register("load_one", func() float64 { return load })
 	g.Register("cpu_num", func() float64 { return 2 })
-	s := g.Sample()
-	if s["load_one"] != 0.5 || s["cpu_num"] != 2 {
+	gm.Watch(g)
+	eng.RunUntil(6 * time.Minute)
+	if s := gm.Summary().Metrics; s["load_one"] != 0.5 || s["cpu_num"] != 2 {
 		t.Fatalf("sample = %v", s)
 	}
 	load = 1.5
-	if g.Sample()["load_one"] != 1.5 {
+	eng.RunUntil(11 * time.Minute)
+	if gm.Summary().Metrics["load_one"] != 1.5 {
 		t.Fatal("gauge not live")
+	}
+	g.Register("cpu_num", func() float64 { return 4 })
+	eng.RunUntil(16 * time.Minute)
+	if s := gm.Summary().Metrics; s["cpu_num"] != 4 || len(s) != 2 {
+		t.Fatalf("sample after replacing cpu_num = %v", s)
 	}
 	m := g.Metrics()
 	if len(m) != 2 || m[0] != "cpu_num" || m[1] != "load_one" {
@@ -206,7 +217,8 @@ func checkAgainstRef(t *testing.T, gm *Gmetad, ref *refGmetad, metrics []string)
 // and the map-based reference, polled at the same instants: one gmond and
 // four, metrics shared between gmonds, values whose float sum depends on
 // its order, NaN gauges, a gauge registered after Watch and after polls,
-// a re-registered metric, and a gmond watched after the first poll.
+// a re-registered metric, a gmond watched after the first poll, and one
+// watched with no gauges, which changes only the host count.
 // Summary, Total and History must agree bit for bit before and after
 // every hour's polls.
 func TestGmetadMatchesMapReference(t *testing.T) {
@@ -228,12 +240,12 @@ func TestGmetadMatchesMapReference(t *testing.T) {
 			n.g.Register(metric, gauge(key))
 			n.r.Register(metric, gauge(key))
 		}
-		watch := func(i int) {
+		watch := func(i, gauges int) {
 			n := pair{NewGmond("wn" + strconv.Itoa(i)), &refGmond{gauges: map[string]Gauge{}}}
-			for _, m := range metrics[:3] {
+			for _, m := range metrics[:gauges] {
 				register(n, m, n.g.Host+"/"+m)
 			}
-			if i == 2 {
+			if i == 2 && gauges > 0 {
 				register(n, "solo", "solo")
 			}
 			gm.Watch(n.g)
@@ -241,7 +253,7 @@ func TestGmetadMatchesMapReference(t *testing.T) {
 			nodes = append(nodes, n)
 		}
 		for i := 0; i < hosts; i++ {
-			watch(i)
+			watch(i, 3)
 		}
 		for hour := 1; hour <= 72; hour++ {
 			for _, n := range nodes {
@@ -268,7 +280,11 @@ func TestGmetadMatchesMapReference(t *testing.T) {
 				// Re-registering replaces the gauge under the same name.
 				register(nodes[len(nodes)-1], "cpu_num", "solo")
 			case 13:
-				watch(len(nodes))
+				watch(len(nodes), 3)
+			case 17:
+				watch(len(nodes), 0)
+			case 21:
+				register(nodes[len(nodes)-1], "late", "solo")
 			}
 			// Until the next poll, a new gmond or gauge must not show.
 			checkAgainstRef(t, gm, ref, metrics)

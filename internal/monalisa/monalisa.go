@@ -174,10 +174,10 @@ type seriesKey struct{ farm, param string }
 // series is one (farm, parameter) series: its ring and its latest
 // accepted sample.
 type series struct {
-	farm, param string
-	db          *rrd.Database
-	last        Metric
-	hasLast     bool
+	param   string
+	db      *rrd.Database
+	last    Metric
+	hasLast bool
 }
 
 type subscription struct {
@@ -209,7 +209,7 @@ func (r *Repository) lookup(farm, param string) *series {
 	key := seriesKey{farm, param}
 	sr, ok := r.series[key]
 	if !ok {
-		sr = &series{farm: farm, param: param, db: rrd.MustNew(r.specs...)}
+		sr = &series{param: param, db: rrd.MustNew(r.specs...)}
 		r.series[key] = sr
 	}
 	return sr

@@ -121,9 +121,7 @@ type Tracer struct {
 	clock func() time.Duration
 	// blocks hold the spans in creation order, spanBlock to a block: span
 	// ID i sits at blocks[(i-1)/spanBlock][(i-1)%spanBlock]. Every block
-	// but the last is full. A new block is allocated whole, except the
-	// first, which grows to spanBlock as spans arrive, so a short run pays
-	// for the spans it recorded.
+	// but the last is full, and each is allocated whole.
 	blocks [][]Span
 	byKind [numKinds]*Histogram // per-stage duration histograms, may be nil
 }
@@ -156,21 +154,10 @@ func (t *Tracer) Begin(kind Kind, parent SpanID, job, vo, site string) SpanID {
 	}
 	n := len(t.blocks)
 	if n == 0 || len(t.blocks[n-1]) == spanBlock {
-		size := spanBlock
-		if n == 0 {
-			size = 16
-		}
-		t.blocks = append(t.blocks, make([]Span, 0, size))
+		t.blocks = append(t.blocks, make([]Span, 0, spanBlock))
 		n++
 	}
 	b := &t.blocks[n-1]
-	if len(*b) == cap(*b) {
-		// Only the first block is ever short of room: grow it
-		// geometrically up to a full block.
-		grown := make([]Span, len(*b), min(2*cap(*b), spanBlock))
-		copy(grown, *b)
-		*b = grown
-	}
 	id := SpanID((n-1)*spanBlock + len(*b) + 1)
 	*b = append(*b, Span{
 		ID: id, Parent: parent, Kind: kind,

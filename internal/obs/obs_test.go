@@ -50,15 +50,13 @@ func TestNilTracerIsNoOpAndAllocFree(t *testing.T) {
 // one block. AllocsPerRun truncates its average, so a stray allocation
 // could hide behind many calls; here one measured run makes every call,
 // its count is exact, and both it and AllocsPerRun's warm-up run land in
-// the block the priming opened, which no call fills.
+// the block the priming span opened, which no call fills.
 func TestEnabledTracerSteadyPathDoesNotAllocate(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now, NewRegistry())
-	// Fill the first block and open the second with one span, leaving
-	// room for spanBlock-1 more.
-	for i := 0; i < spanBlock+1; i++ {
-		tr.End(tr.Begin(KindRun, 0, "j", "vo", "s"))
-	}
+	// Open the first block with one span, leaving room for spanBlock-1
+	// more.
+	tr.End(tr.Begin(KindRun, 0, "j", "vo", "s"))
 	const calls = (spanBlock - 1) / 2
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < calls; i++ {
@@ -70,8 +68,8 @@ func TestEnabledTracerSteadyPathDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%d steady-path Begin/End pairs allocated %.0f times, want 0", calls, allocs)
 	}
-	if len(tr.blocks) != 2 || len(tr.blocks[1]) != 1+2*calls {
-		t.Fatalf("measured runs left %d blocks, the last holding %d spans; want 2 and %d",
+	if len(tr.blocks) != 1 || len(tr.blocks[0]) != 1+2*calls {
+		t.Fatalf("measured runs left %d blocks, the last holding %d spans; want 1 and %d",
 			len(tr.blocks), len(tr.blocks[len(tr.blocks)-1]), 1+2*calls)
 	}
 }
@@ -148,18 +146,6 @@ func TestSpanBlocksMatchReference(t *testing.T) {
 	got[0].Site = "scribbled"
 	if tr.Spans()[0].Site == "scribbled" {
 		t.Fatal("Spans returned the tracer's own storage")
-	}
-}
-
-// TestFirstSpanBlockGrows: a short run pays for the spans it recorded, not
-// for a whole block.
-func TestFirstSpanBlockGrows(t *testing.T) {
-	tr := NewTracer((&fakeClock{}).Now, nil)
-	for i := 0; i < 20; i++ {
-		tr.Begin(KindJob, 0, "j", "vo", "")
-	}
-	if c := cap(tr.blocks[0]); c >= spanBlock || c < 20 {
-		t.Fatalf("first block capacity %d after 20 spans, want at least 20 and below %d", c, spanBlock)
 	}
 }
 

@@ -148,15 +148,10 @@ func (a *archive) update(t time.Duration, v float64) {
 }
 
 // advanceTo flushes completed buckets so that the in-progress bucket
-// contains time t: it closes the in-progress bucket once, then writes the
-// empty buckets between it and t as NaN rows.
+// contains time t.
 func (a *archive) advanceTo(t time.Duration) {
-	if t < a.headEnd+a.spec.Step {
-		return
-	}
-	a.flush()
-	for empty := (t - a.headEnd) / a.spec.Step; empty > 0; empty-- {
-		a.push(math.NaN())
+	for t >= a.headEnd+a.spec.Step {
+		a.flush()
 	}
 }
 
@@ -179,13 +174,6 @@ func (a *archive) flush() {
 			v = a.accSum
 		}
 	}
-	a.push(v)
-	a.accCount = 0
-}
-
-// push writes v as the row of the bucket after headEnd and advances the
-// head past it.
-func (a *archive) push(v float64) {
 	if len(a.ring) < a.spec.Rows {
 		if len(a.ring) == cap(a.ring) {
 			// Grow geometrically but never past Rows: append's own growth
@@ -198,10 +186,9 @@ func (a *archive) push(v float64) {
 	} else {
 		a.ring[a.head] = v
 	}
-	if a.head++; a.head == a.spec.Rows {
-		a.head = 0
-	}
+	a.head = (a.head + 1) % a.spec.Rows
 	a.headEnd += a.spec.Step
+	a.accCount = 0
 }
 
 // FlushTo closes buckets up to (not including) the bucket containing t, so
