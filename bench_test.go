@@ -71,8 +71,10 @@ func scenario(b *testing.B) *core.Scenario {
 	b.Helper()
 	sharedOnce.Do(func() {
 		start := time.Now()
-		sharedScen, sharedErr = core.DefaultScenario(1, benchScale())
+		var r *Result
+		r, sharedErr = RunScenario(1, benchScale())
 		if sharedErr == nil {
+			sharedScen = r.Scenario()
 			fmt.Printf("# shared scenario: scale %.2f, %d jobs, %d records, built in %v\n",
 				benchScale(), sharedScen.SubmittedTotal(), sharedScen.Grid.ACDC.Len(),
 				time.Since(start).Round(time.Millisecond))

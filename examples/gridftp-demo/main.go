@@ -1,21 +1,23 @@
 // GridFTP data transfer demonstrator (§4.7, §6.3) — both halves:
 //
 //  1. A real TCP GridFTP server/client session with GSI mutual
-//     authentication, third-party-style relay between two servers, and a
-//     NetLogger-instrumented simulated matrix
+//     authentication and a third-party-style relay between two servers
 //  2. The Entrada-style periodic transfer matrix on the simulated WAN,
-//     verifying the 2 TB/day milestone the way §6.3 did.
+//     verifying the 2 TB/day milestone the way §6.3 did, with every
+//     transfer traced and rendered as NetLogger records.
 package main
 
 import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"grid3/internal/dist"
 	"grid3/internal/gridftp"
 	"grid3/internal/gsi"
+	"grid3/internal/obs"
 	"grid3/internal/sim"
 )
 
@@ -98,11 +100,13 @@ func realHalf() error {
 	return nil
 }
 
-// simulatedHalf reruns §6.3 on the simulated WAN with NetLogger attached.
+// simulatedHalf reruns §6.3 on the simulated WAN with transfer spans on,
+// then renders them as NetLogger records.
 func simulatedHalf() error {
 	eng := sim.NewEngine(sim.Grid3Epoch)
 	net := gridftp.NewNetwork(eng)
-	nl := gridftp.Attach(net)
+	o := obs.New(eng.Now)
+	net.Ins = gridftp.NewInstruments(o)
 	sites := []string{"BNL", "FNAL", "Caltech", "UCSD", "UFlorida", "UC", "IU", "LBNL"}
 	for _, s := range sites {
 		net.AddEndpoint(s, 622)
@@ -136,15 +140,19 @@ func simulatedHalf() error {
 	}
 	fmt.Printf("simulated WAN: %.2f TB in %d days (%.2f TB/day, milestone target 2-3) across %d transfers\n",
 		float64(total)/(1<<40), days, float64(total)/(1<<40)/days, net.Completed())
+	var nl strings.Builder
+	if err := o.Tracer.Trace().WriteNetLogger(&nl); err != nil {
+		return err
+	}
+	count := func(kind string) int { return strings.Count(nl.String(), "NL.EVNT=gridftp.transfer."+kind+" ") }
 	fmt.Printf("NetLogger captured %d start / %d end / %d error events; first records:\n",
-		nl.Count(gridftp.EventStart), nl.Count(gridftp.EventEnd), nl.Count(gridftp.EventError))
+		count("start"), count("end"), count("error"))
 	shown := 0
-	for _, ev := range nl.Events {
-		if ev.Kind != gridftp.EventEnd {
+	for _, line := range strings.Split(nl.String(), "\n") {
+		if !strings.Contains(line, "NL.EVNT=gridftp.transfer.end ") {
 			continue
 		}
-		fmt.Printf("  DATE=%.0f HOST=%s NL.EVNT=%s DEST=%s BYTES=%d\n",
-			ev.Time.Seconds(), ev.Transfer.Src, ev.Kind, ev.Transfer.Dst, ev.Transfer.Bytes)
+		fmt.Printf("  %s\n", line)
 		shown++
 		if shown == 3 {
 			break

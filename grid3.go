@@ -25,8 +25,8 @@
 //	rep.Write(os.Stdout)
 //	fmt.Print(rep.Runs[0].Table1Text)
 //
-// The chaos, testbed-scale, data-plane and ingestion campaigns are
-// grid3exp experiments (experiments/core.json), not façade calls. Result
+// The chaos, testbed-scale and data-plane campaigns are grid3exp
+// experiments (experiments/core.json), not façade calls. Result
 // types are aliases of the internal ones (Milestones, SweepReport), so
 // their fields read without importing internal packages.
 //
@@ -38,8 +38,9 @@
 // # Options and flags
 //
 // The With* options are grouped into sections below — engine & testbed,
-// observability, fault management, data plane, serve — and every
-// cmd/grid3sim flag is a thin wrapper over one of them:
+// observability, fault management, data plane, serve. cmd/grid3sim builds
+// a ScenarioConfig directly rather than through the options; each of its
+// flags sets the same field as the option beside it:
 //
 //	WithSeed            -seed        WithHealthProbes     -health
 //	WithTestbedScale    -sites       WithRecovery         -recovery

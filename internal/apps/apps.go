@@ -162,8 +162,10 @@ func Grid3Classes() []Class {
 		{
 			VO: vo.Exerciser, Users: 3, TotalJobs: 198272,
 			MeanRuntime: time.Duration(0.13 * float64(time.Hour)), MaxRuntime: 36 * time.Hour, Sigma: 0.8,
-			// The exerciser is interval-driven, not burst-driven; weights
-			// still matter for the rate profile (peak 12-2003).
+			// The Condor group's exerciser (§4.7), a backfill probe run
+			// "repeatedly with a low priority". It is interval-driven, not
+			// burst-driven; weights still matter for the rate profile
+			// (peak 12-2003).
 			MonthWeights:  [7]float64{0.10, 0.15, 0.36, 0.13, 0.10, 0.09, 0.07},
 			BurstMean:     0,
 			StagingFactor: 1,

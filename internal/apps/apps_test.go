@@ -199,40 +199,6 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
-func TestExerciserInterval(t *testing.T) {
-	eng := sim.NewEngine(sim.Grid3Epoch)
-	rng := dist.New(5)
-	count := 0
-	perSite := map[string]int{}
-	ex := NewExerciser(eng, rng, SubmitterFunc(func(r Request) {
-		count++
-		perSite[r.Preferred]++
-		if r.Priority >= 0 {
-			t.Fatal("exerciser probe not low priority")
-		}
-		if r.VO != vo.Exerciser {
-			t.Fatalf("probe VO = %s", r.VO)
-		}
-	}), []string{"IU", "UNM", "OU"})
-	ex.Start()
-	eng.RunUntil(24 * time.Hour)
-	ex.Stop()
-	// 3 sites × 96 probes/day (every 15 min) + initial probes ≈ 291.
-	if count < 280 || count > 300 {
-		t.Fatalf("probes in a day = %d, want ~290", count)
-	}
-	for _, s := range []string{"IU", "UNM", "OU"} {
-		if perSite[s] < 90 {
-			t.Fatalf("site %s probed %d times", s, perSite[s])
-		}
-	}
-	at := count
-	eng.RunUntil(48 * time.Hour)
-	if count != at {
-		t.Fatal("probes continued after Stop")
-	}
-}
-
 // memTransferSvc completes transfers instantly.
 type memTransferSvc struct {
 	calls int

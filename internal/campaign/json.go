@@ -16,11 +16,10 @@ import (
 
 // Wire schema identifiers.
 const (
-	SweepSchema  = "grid3.sweep/1"
-	ChaosSchema  = "grid3.chaos-sweep/1"
-	ScaleSchema  = "grid3.scale-sweep/1"
-	DataSchema   = "grid3.data-sweep/1"
-	IngestSchema = "grid3.ingest-sweep/2"
+	SweepSchema = "grid3.sweep/1"
+	ChaosSchema = "grid3.chaos-sweep/1"
+	ScaleSchema = "grid3.scale-sweep/1"
+	DataSchema  = "grid3.data-sweep/1"
 )
 
 func marshalReport(v any) ([]byte, error) {
@@ -253,43 +252,6 @@ func (rep *ScaleReport) JSON() ([]byte, error) {
 		JobScale:   rep.JobScale,
 		WallSecs:   rep.Elapsed.Seconds(),
 		Points:     rep.Points,
-	})
-}
-
-// --- IngestReport ----------------------------------------------------------
-
-type ingestRecordJSON struct {
-	Schema        string  `json:"schema"`
-	Kind          string  `json:"kind"`
-	GoMaxProcs    int     `json:"gomaxprocs"`
-	Events        int     `json:"events"`
-	Series        int     `json:"series"`
-	WallSecs      float64 `json:"wall_seconds"`
-	EventsPerS    float64 `json:"events_per_second"`
-	Mallocs       uint64  `json:"mallocs"`
-	AllocBytes    uint64  `json:"alloc_bytes"`
-	BytesPerEvent float64 `json:"bytes_per_event"`
-	AuditWindows  int     `json:"audit_windows"`
-	AuditVerified bool    `json:"audit_verified"`
-}
-
-// JSON renders the sweep under the grid3.ingest-sweep/2 schema (kind
-// "grid3sim-ingest"; the bench-check tooling reads events_per_second
-// and audit_verified).
-func (rep *IngestReport) JSON() ([]byte, error) {
-	return marshalReport(ingestRecordJSON{
-		Schema:        IngestSchema,
-		Kind:          "grid3sim-ingest",
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		Events:        rep.Events,
-		Series:        rep.Farms * rep.Params,
-		WallSecs:      rep.Elapsed.Seconds(),
-		EventsPerS:    rep.EventsPerS,
-		Mallocs:       rep.Mallocs,
-		AllocBytes:    rep.AllocBytes,
-		BytesPerEvent: rep.BytesPerEvent,
-		AuditWindows:  rep.AuditWindows,
-		AuditVerified: rep.AuditVerified,
 	})
 }
 

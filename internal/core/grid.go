@@ -24,7 +24,6 @@ import (
 	"grid3/internal/gsi"
 	"grid3/internal/health"
 	"grid3/internal/ingest"
-	"grid3/internal/intern"
 	"grid3/internal/mds"
 	"grid3/internal/monalisa"
 	"grid3/internal/obs"
@@ -135,9 +134,6 @@ func (c *Config) defaults() {
 
 // Node bundles one site's full service stack.
 type Node struct {
-	// ID is the site's dense interned identifier (ascending in sorted
-	// site-name order); hot paths index by it instead of hashing Spec.Name.
-	ID         intern.ID
 	Spec       SiteSpec
 	Site       *site.Site
 	Batch      *batch.System
@@ -202,10 +198,8 @@ type Grid struct {
 	Registry *vo.Registry
 	Nodes    map[string]*Node
 	Order    []string
-	// SiteIDs interns site names in sorted-name order, so ascending-ID
-	// iteration over nodeList reproduces the historical sorted-string
-	// sweeps exactly. nodeList[id] is the node whose Node.ID == id.
-	SiteIDs  *intern.Table
+	// nodeList[i] is Nodes[Order[i]]: the hot loops iterate it in
+	// sorted-name order instead of Order plus map lookups.
 	nodeList []*Node
 	Network  *gridftp.Network
 	RLI      *rls.RLI
@@ -365,16 +359,11 @@ func New(cfg Config) (*Grid, error) {
 			return nil, fmt.Errorf("core: site %s: %w", spec.Name, err)
 		}
 	}
-	// Freeze the catalog into dense IDs: sort once (addSite only appends),
-	// intern names in sorted order, and build the ID-indexed node list the
-	// hot loops iterate instead of Order+map lookups.
+	// Freeze the catalog: sort once (addSite only appends).
 	sort.Strings(g.Order)
-	g.SiteIDs = intern.FromSorted(g.Order)
 	g.nodeList = make([]*Node, len(g.Order))
 	for i, name := range g.Order {
-		n := g.Nodes[name]
-		n.ID = intern.ID(i)
-		g.nodeList[i] = n
+		g.nodeList[i] = g.Nodes[name]
 	}
 	// --- Health monitor: one breaker per (site, service), probing the same
 	// three services the Site Status Catalog checks. Built before the

@@ -218,6 +218,49 @@ func TestUsageLedgerGolden(t *testing.T) {
 	}
 }
 
+// TestUsageLedgerProvesEveryWindow audits a small ledger-armed run end to
+// end: every (window, VO) inclusion proof is generated, survives its wire
+// round trip and verifies against its window's sealed root, and the same
+// proof claiming one more job is refused.
+func TestUsageLedgerProvesEveryWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario run in -short mode")
+	}
+	s, err := NewScenario(ScenarioConfig{
+		Config:   Config{Seed: 1, TestbedSites: 5, IngestBatch: 64},
+		Horizon:  48 * time.Hour,
+		JobScale: 0.002,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	led := s.Grid.Ledger
+	if got := led.Len(); got != 108 {
+		t.Fatalf("sealed %d windows, want 108", got)
+	}
+	for _, w := range led.Windows() {
+		for _, voName := range vo.Grid3VOs {
+			p, err := led.Prove(w.Index, voName)
+			if err != nil {
+				t.Fatalf("prove %d/%s: %v", w.Index, voName, err)
+			}
+			dec, err := ingest.DecodeProof(ingest.EncodeProof(p))
+			if err != nil {
+				t.Fatalf("decode %d/%s: %v", w.Index, voName, err)
+			}
+			if !ingest.Verify(w.Root, dec) {
+				t.Fatalf("proof %d/%s does not verify", w.Index, voName)
+			}
+			forged := *dec
+			forged.Record.Jobs++
+			if ingest.Verify(w.Root, &forged) {
+				t.Fatalf("proof %d/%s verifies with %d jobs, one more than sealed", w.Index, voName, forged.Record.Jobs)
+			}
+		}
+	}
+}
+
 // TestMonitoringReadsKeepLedger reads the repository in the middle of
 // every 30-minute window, as grid3d's monitor endpoint does, and
 // requires the same ledger as an unread run. Reads must not hide a

@@ -10,6 +10,7 @@ import (
 	"grid3/internal/apps"
 	"grid3/internal/dial"
 	"grid3/internal/gridftp"
+	"grid3/internal/obs"
 	"grid3/internal/vo"
 )
 
@@ -301,11 +302,11 @@ func TestSubmitJobFunc(t *testing.T) {
 	}
 }
 
-// TestNetLoggerAttach: with the gridftp shim attached to the WAN, every
-// completed transfer leaves start+end events (§4.7's NetLogger
-// demonstrator). Attaching is explicit now — the EnableNetLogger config
-// field is gone; trace-level NetLogger output comes from the obs layer's
-// NetLogger sink instead.
+// TestNetLoggerAttach: with transfer instruments attached to the WAN,
+// every completed transfer leaves start and end records in the trace's
+// NetLogger render (§4.7's NetLogger demonstrator). Attaching is explicit:
+// the scenario's own trace-level NetLogger output comes from the obs
+// layer's NetLogger sink.
 func TestNetLoggerAttach(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario in -short mode")
@@ -319,21 +320,20 @@ func TestNetLoggerAttach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl := gridftp.Attach(s.Grid.Network)
+	o := obs.New(s.Grid.Eng.Now)
+	s.Grid.Network.Ins = gridftp.NewInstruments(o)
 	s.Run()
-	starts := nl.Count(gridftp.EventStart)
-	ends := nl.Count(gridftp.EventEnd)
+	var sb strings.Builder
+	if err := o.Tracer.Trace().WriteNetLogger(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	starts := strings.Count(out, "NL.EVNT=gridftp.transfer.start ")
+	ends := strings.Count(out, "NL.EVNT=gridftp.transfer.end ")
 	if starts == 0 || ends == 0 {
-		t.Fatalf("events: %d starts, %d ends", starts, ends)
+		t.Fatalf("records: %d starts, %d ends", starts, ends)
 	}
 	if ends > starts {
 		t.Fatalf("more ends (%d) than starts (%d)", ends, starts)
-	}
-	var sb strings.Builder
-	if _, err := nl.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "NL.EVNT=gridftp.transfer.end") {
-		t.Fatal("NetLogger render missing records")
 	}
 }

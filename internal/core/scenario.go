@@ -294,23 +294,5 @@ func (s *Scenario) SubmittedTotal() int {
 	return n
 }
 
-// DefaultScenario runs the full 183-day campaign at the given seed and
-// scale and returns the completed scenario. Scale 1.0 reproduces the
-// paper's ~290k-job sample; smaller scales keep tests fast.
-func DefaultScenario(seed int64, scale float64) (*Scenario, error) {
-	s, err := NewScenario(ScenarioConfig{
-		Config:   Config{Seed: seed},
-		JobScale: scale,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Run(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// VvoClasses is a convenience listing of the Table 1 class VOs in column
-// order.
+// VOColumns lists the Table 1 class VOs in column order.
 var VOColumns = []string{vo.BTeV, vo.IVDGL, vo.LIGO, vo.SDSS, vo.USATLAS, vo.USCMS, vo.Exerciser}

@@ -1,15 +1,15 @@
 package core
 
 import (
-	"grid3/internal/intern"
+	"sort"
 	"testing"
 	"time"
 )
 
 // TestTenThousandSiteTestbed is the scale target: a 10k-site testbed
-// constructs, and every site is interned with a dense ID in sorted-name
-// order. Construction only — a simulated hour at this scale is bench
-// territory, not tier-1.
+// constructs, its site order is sorted, and the node list the hot loops
+// iterate follows that order. Construction only — a simulated hour at
+// this scale is bench territory, not tier-1.
 func TestTenThousandSiteTestbed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-site construction in -short mode")
@@ -25,13 +25,16 @@ func TestTenThousandSiteTestbed(t *testing.T) {
 	if got := len(s.Cfg.Config.Sites); got != 10000 {
 		t.Fatalf("testbed generated %d sites, want 10000", got)
 	}
-	for i, name := range s.Grid.Order {
-		id := s.Grid.SiteIDs.ID(name)
-		if id == intern.None {
-			t.Fatalf("site %q not interned", name)
-		}
-		if int(id) != i {
-			t.Fatalf("site %q has ID %d, want %d (sorted-name order)", name, id, i)
+	g := s.Grid
+	if !sort.StringsAreSorted(g.Order) {
+		t.Fatal("site order is not sorted by name")
+	}
+	if len(g.nodeList) != len(g.Order) {
+		t.Fatalf("node list has %d nodes for %d sites", len(g.nodeList), len(g.Order))
+	}
+	for i, name := range g.Order {
+		if g.nodeList[i] != g.Nodes[name] {
+			t.Fatalf("nodeList[%d] is not the node of %q", i, name)
 		}
 	}
 }

@@ -22,7 +22,6 @@ var wallClockKeys = map[string]bool{
 	"ns_per_sim_day":    true,
 	"mallocs":           true,
 	"alloc_bytes":       true,
-	"bytes_per_event":   true,
 	"gomaxprocs":        true,
 	"workers":           true,
 }
@@ -218,9 +217,6 @@ func headline(o Outcome) string {
 	case ModeData:
 		return fmt.Sprintf("managed TB/day min %.2f mean %.2f max %.2f",
 			num(v["managed_tb_per_day_min"]), num(v["managed_tb_per_day_mean"]), num(v["managed_tb_per_day_max"]))
-	case ModeIngest:
-		return fmt.Sprintf("audit %d windows, verified=%v",
-			int(num(v["audit_windows"])), v["audit_verified"])
 	case ModeSweep:
 		runs, _ := v["runs"].([]any)
 		jobs := 0.0

@@ -1,6 +1,6 @@
 // Package exp is the declarative experiment grid: a versioned JSON spec
 // (grid3.exp/1) naming experiments over the existing campaign modes —
-// chaos, scale, data, ingest, and the plain multi-seed sweep — with axis
+// chaos, scale, data, and the plain multi-seed sweep — with axis
 // lists and scenario knobs, executed deterministically through the
 // campaign layer by one runner (cmd/grid3exp). Each experiment owns one
 // BENCH_*.json output; the analyzer pass flattens every report into a
@@ -30,11 +30,10 @@ const Schema = "grid3.exp/1"
 
 // Experiment modes, one per campaign runner.
 const (
-	ModeChaos  = "chaos"  // campaign.ChaosSweep: seeds x intensities, baseline vs recovery
-	ModeScale  = "scale"  // campaign.ScaleSweep: growing site populations, serial points
-	ModeData   = "data"   // campaign.DataSweep: raw GridFTP baseline vs managed plane
-	ModeIngest = "ingest" // campaign.IngestSweep: synthetic metric stream through per-event ingest
-	ModeSweep  = "sweep"  // campaign.Sweep: one full scenario per seed
+	ModeChaos = "chaos" // campaign.ChaosSweep: seeds x intensities, baseline vs recovery
+	ModeScale = "scale" // campaign.ScaleSweep: growing site populations, serial points
+	ModeData  = "data"  // campaign.DataSweep: raw GridFTP baseline vs managed plane
+	ModeSweep = "sweep" // campaign.Sweep: one full scenario per seed
 )
 
 // Duration is a time.Duration that rides JSON as a Go duration string
@@ -90,10 +89,9 @@ type Experiment struct {
 }
 
 // Axes are the swept dimensions. Which fields are legal depends on the
-// mode — seeds everywhere but ingest, intensities only for chaos, sites
-// only for scale; ingest sweeps none — and validation rejects a spec
-// that crosses them. Empty axes fall back to the campaign's own
-// defaults.
+// mode — seeds everywhere, intensities only for chaos, sites only for
+// scale — and validation rejects a spec that crosses them. Empty axes
+// fall back to the campaign's own defaults.
 type Axes struct {
 	Seeds       []int64   `json:"seeds,omitempty"`
 	Intensities []float64 `json:"intensities,omitempty"`
@@ -117,10 +115,6 @@ type Knobs struct {
 	Doors int `json:"doors,omitempty"`
 	// Watermark is the managed data plane's cleanup threshold (0 = 0.15).
 	Watermark float64 `json:"watermark,omitempty"`
-	// Events is the ingest sweep's synthetic stream length.
-	Events int `json:"events,omitempty"`
-	// AuditDays bounds the ingest audit leg (0 = default 2; negative skips).
-	AuditDays int `json:"audit_days,omitempty"`
 	// Workers caps campaign parallelism (0 = GOMAXPROCS). Point results
 	// never depend on it; only wall time does.
 	Workers int `json:"workers,omitempty"`
@@ -208,14 +202,9 @@ func (s *Spec) Validate() error {
 // modes is a set of experiment modes.
 type modes map[string]bool
 
-var (
-	// scenarioModes run scenarios at the knobs' scale and horizon;
-	// ingest's audit leg fixes its own scale, horizon and testbed.
-	scenarioModes = modes{ModeChaos: true, ModeScale: true, ModeData: true, ModeSweep: true}
-	// pooledModes fan their runs over workers on one testbed; scale
-	// points size the testbed from the sites axis and run serially.
-	pooledModes = modes{ModeChaos: true, ModeData: true, ModeSweep: true}
-)
+// pooledModes fan their runs over workers on one testbed; scale points
+// size the testbed from the sites axis and run serially.
+var pooledModes = modes{ModeChaos: true, ModeData: true, ModeSweep: true}
 
 func (e *Experiment) validate() error {
 	// Axis and knob legality per mode: either on a mode whose runner never
@@ -227,23 +216,18 @@ func (e *Experiment) validate() error {
 		present    bool
 		modes      modes
 	}{
-		{"axis", "seeds", len(e.Axes.Seeds) > 0, scenarioModes},
 		{"axis", "intensities", len(e.Axes.Intensities) > 0, modes{ModeChaos: true}},
 		{"axis", "sites", len(e.Axes.Sites) > 0, modes{ModeScale: true}},
-		{"knob", "scale", k.Scale != 0, scenarioModes},
-		{"knob", "days", k.Days != 0, scenarioModes},
 		{"knob", "testbed_sites", k.TestbedSites != 0, pooledModes},
 		{"knob", "workers", k.Workers != 0, pooledModes},
 		// Chaos runs every point with and without recovery.
-		{"knob", "recovery", k.Recovery, modes{ModeScale: true, ModeData: true, ModeIngest: true, ModeSweep: true}},
+		{"knob", "recovery", k.Recovery, modes{ModeScale: true, ModeData: true, ModeSweep: true}},
 		{"knob", "watermark", k.Watermark != 0, modes{ModeData: true}},
-		{"knob", "events", k.Events != 0, modes{ModeIngest: true}},
-		{"knob", "audit_days", k.AuditDays != 0, modes{ModeIngest: true}},
 	}
 	switch e.Mode {
-	case ModeChaos, ModeScale, ModeData, ModeIngest, ModeSweep:
+	case ModeChaos, ModeScale, ModeData, ModeSweep:
 	default:
-		return fmt.Errorf("unknown mode %q (want chaos, scale, data, ingest, or sweep)", e.Mode)
+		return fmt.Errorf("unknown mode %q (want chaos, scale, data, or sweep)", e.Mode)
 	}
 	for _, r := range rules {
 		if r.present && !r.modes[e.Mode] {
@@ -282,7 +266,6 @@ func (e *Experiment) validate() error {
 		{"days", k.Days},
 		{"testbed_sites", k.TestbedSites},
 		{"doors", k.Doors},
-		{"events", k.Events},
 		{"workers", k.Workers},
 	} {
 		if n.v < 0 {

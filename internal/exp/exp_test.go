@@ -99,14 +99,17 @@ func TestDecodeRejects(t *testing.T) {
 		{"bad mode",
 			`{"schema": "grid3.exp/1", "experiments": [{"name": "a", "mode": "warp", "out": "a.json"}]}`,
 			`unknown mode "warp"`},
+		{"retired ingest mode",
+			`{"schema": "grid3.exp/1", "experiments": [{"name": "a", "mode": "ingest", "out": "a.json"}]}`,
+			`unknown mode "ingest"`},
+		{"retired events knob",
+			`{"schema": "grid3.exp/1", "experiments": [
+				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"events": 5000}}]}`,
+			`unknown field "events"`},
 		{"axis on wrong mode",
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "chaos", "out": "a.json", "axes": {"sites": [27]}}]}`,
 			`axis sites does not apply to mode "chaos"`},
-		{"seeds on ingest",
-			`{"schema": "grid3.exp/1", "experiments": [
-				{"name": "a", "mode": "ingest", "out": "a.json", "axes": {"seeds": [1]}}]}`,
-			`axis seeds does not apply to mode "ingest"`},
 		{"recovery on chaos",
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "chaos", "out": "a.json", "knobs": {"recovery": true}}]}`,
@@ -119,10 +122,6 @@ func TestDecodeRejects(t *testing.T) {
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "data", "out": "a.json", "knobs": {"window": "5m"}}]}`,
 			`unknown field "window"`},
-		{"days on ingest",
-			`{"schema": "grid3.exp/1", "experiments": [
-				{"name": "a", "mode": "ingest", "out": "a.json", "knobs": {"days": 3}}]}`,
-			`knob days does not apply to mode "ingest"`},
 		{"watermark on sweep",
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"watermark": 0.2}}]}`,
@@ -147,10 +146,6 @@ func TestDecodeRejects(t *testing.T) {
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "data", "out": "a.json", "knobs": {"doors": -1}}]}`,
 			"doors -1 is negative"},
-		{"negative events",
-			`{"schema": "grid3.exp/1", "experiments": [
-				{"name": "a", "mode": "ingest", "out": "a.json", "knobs": {"events": -10}}]}`,
-			"events -10 is negative"},
 		{"negative workers",
 			`{"schema": "grid3.exp/1", "experiments": [
 				{"name": "a", "mode": "sweep", "out": "a.json", "knobs": {"workers": -3}}]}`,
@@ -284,7 +279,8 @@ func TestRows(t *testing.T) {
 }
 
 // smokeSpec is a grid small enough for unit tests: one wave-armed sweep
-// and one truncated ingest run.
+// and one six-site scale point, whose report carries wall-clock keys for
+// Normalize to zero.
 const smokeSpec = `{
   "schema": "grid3.exp/1",
   "name": "unit",
@@ -295,8 +291,9 @@ const smokeSpec = `{
      "axes": {"seeds": [7]},
      "knobs": {"scale": 0.002, "days": 4, "testbed_sites": 6,
                "upgrade_at": "12h", "upgrade_stagger": "12h"}},
-    {"name": "ingest", "mode": "ingest", "out": "BENCH_ingest.json",
-     "knobs": {"events": 5000, "audit_days": -1}}
+    {"name": "scale", "mode": "scale", "out": "BENCH_scale.json",
+     "axes": {"sites": [6]},
+     "knobs": {"scale": 0.002, "days": 1}}
   ]
 }`
 
@@ -322,7 +319,7 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{"BENCH_waves.json", "BENCH_ingest.json"} {
+	for _, name := range []string{"BENCH_waves.json", "BENCH_scale.json"} {
 		var norm [][]byte
 		for _, dir := range dirs {
 			raw, err := os.ReadFile(filepath.Join(dir, name))
@@ -393,15 +390,15 @@ func TestRunOnly(t *testing.T) {
 		t.Fatalf("unknown -only name not refused: %v", err)
 	}
 	dir := t.TempDir()
-	outcomes, err := Run(spec, RunOptions{OutDir: dir, Only: []string{"ingest"}})
+	outcomes, err := Run(spec, RunOptions{OutDir: dir, Only: []string{"scale"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outcomes) != 1 || outcomes[0].Name != "ingest" {
-		t.Fatalf("outcomes %+v, want just ingest", outcomes)
+	if len(outcomes) != 1 || outcomes[0].Name != "scale" {
+		t.Fatalf("outcomes %+v, want just scale", outcomes)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "BENCH_waves.json")); !os.IsNotExist(err) {
-		t.Fatal("-only ingest still wrote the waves report")
+		t.Fatal("-only scale still wrote the waves report")
 	}
 }
 

@@ -142,12 +142,6 @@ func runExperiment(e *Experiment) (report, error) {
 			Base:    base,
 			Workers: e.Knobs.Workers,
 		})
-	case ModeIngest:
-		return campaign.IngestSweep(campaign.IngestSweepConfig{
-			Events:    e.Knobs.Events,
-			AuditDays: e.Knobs.AuditDays,
-			Base:      base,
-		})
 	case ModeSweep:
 		seeds := e.Axes.Seeds
 		if len(seeds) == 0 {

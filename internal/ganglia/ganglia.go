@@ -49,15 +49,6 @@ func (g *Gmond) Register(metric string, fn Gauge) {
 	g.gauges = slices.Insert(g.gauges, i, gauge{metric, fn})
 }
 
-// Metrics returns registered metric names, sorted.
-func (g *Gmond) Metrics() []string {
-	out := make([]string, len(g.gauges))
-	for i, ga := range g.gauges {
-		out[i] = ga.metric
-	}
-	return out
-}
-
 // ClusterSummary is one site's aggregate at a sample instant.
 type ClusterSummary struct {
 	Cluster string

@@ -35,10 +35,6 @@ func TestGmondSample(t *testing.T) {
 	if s := gm.Summary().Metrics; s["cpu_num"] != 4 || len(s) != 2 {
 		t.Fatalf("sample after replacing cpu_num = %v", s)
 	}
-	m := g.Metrics()
-	if len(m) != 2 || m[0] != "cpu_num" || m[1] != "load_one" {
-		t.Fatalf("metrics = %v", m)
-	}
 }
 
 func TestGmetadAggregation(t *testing.T) {

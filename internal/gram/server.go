@@ -28,9 +28,14 @@ import (
 //	C: AUTH <base64(gob bundle)> <base64(sig over nonce)>
 //	S: 230 mapped to <account>                    | 530 <reason>
 //	C: SUBMIT <executable> <duration-ms>          → 201 <job-id>
-//	C: POLL <job-id>                              → 202 <STATE>
-//	C: CANCEL <job-id>                            → 203 cancelled
+//	C: POLL <job-id>                              → 202 <STATE>  | 550 no such job
+//	C: CANCEL <job-id>                            → 203 cancelled | 550 no such job
 //	C: QUIT                                       → 221 bye
+//
+// SUBMIT, POLL and CANCEL need AUTH first (530 otherwise). A job belongs
+// to the account its submitter mapped to; POLL and CANCEL from another
+// account get the same 550 as an unknown ID, so a guessed ID reveals
+// nothing.
 
 // wireBundle is the gob form of a credential's public half.
 type wireBundle struct {
@@ -147,7 +152,12 @@ func (s *Server) handle(conn net.Conn) {
 		if len(fields) == 0 {
 			continue
 		}
-		switch strings.ToUpper(fields[0]) {
+		cmd := strings.ToUpper(fields[0])
+		if account == "" && (cmd == "SUBMIT" || cmd == "POLL" || cmd == "CANCEL") {
+			reply("530 authenticate first")
+			continue
+		}
+		switch cmd {
 		case "QUIT":
 			reply("221 bye")
 			return
@@ -164,10 +174,6 @@ func (s *Server) handle(conn net.Conn) {
 			account = acct
 			reply("230 mapped to %s", acct)
 		case "SUBMIT":
-			if account == "" {
-				reply("530 authenticate first")
-				continue
-			}
 			if len(fields) != 3 {
 				reply("501 SUBMIT <executable> <duration-ms>")
 				continue
@@ -184,7 +190,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply("501 POLL <job-id>")
 				continue
 			}
-			st, ok := s.poll(fields[1])
+			st, ok := s.poll(fields[1], account)
 			if !ok {
 				reply("550 no such job")
 				continue
@@ -195,7 +201,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply("501 CANCEL <job-id>")
 				continue
 			}
-			if !s.cancel(fields[1]) {
+			if !s.cancel(fields[1], account) {
 				reply("550 no such job")
 				continue
 			}
@@ -272,21 +278,25 @@ func (s *Server) pump() {
 	}
 }
 
-func (s *Server) poll(id string) (JobState, bool) {
+// poll returns the state of account's job id; false when there is no
+// such job or another account owns it.
+func (s *Server) poll(id, account string) (JobState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
+	if !ok || j.account != account {
 		return StateUnsubmitted, false
 	}
 	return j.state, true
 }
 
-func (s *Server) cancel(id string) bool {
+// cancel stops account's job id; false when there is no such job or
+// another account owns it.
+func (s *Server) cancel(id, account string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
+	if !ok || j.account != account {
 		return false
 	}
 	switch j.state {

@@ -26,16 +26,17 @@ type Client struct {
 // ErrServer wraps non-2xx control-channel replies.
 var ErrServer = errors.New("gridftp: server error")
 
+// maxTransfer is the largest file either end of the control channel
+// accepts (4 GiB).
+const maxTransfer = 1 << 32
+
 // Dial connects and authenticates.
 func Dial(addr string, cred *gsi.Credential) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn: conn,
-		rw:   bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn)),
-	}
+	c := newClient(conn)
 	greeting, err := c.readReply()
 	if err != nil {
 		conn.Close()
@@ -63,6 +64,10 @@ func Dial(addr string, cred *gsi.Credential) (*Client, error) {
 		c.Account = reply[i+1:]
 	}
 	return c, nil
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, rw: bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn))}
 }
 
 func parseNonce(greeting string) ([]byte, error) {
@@ -132,25 +137,31 @@ func (c *Client) Put(path string, data []byte) error {
 	return err
 }
 
-// Get downloads path.
+// Get downloads path. The reply must be "150 <n> ..." with n at most
+// maxTransfer, and the body is read into a buffer that grows as bytes
+// arrive, so a reply naming more bytes than follow costs only those that
+// came.
 func (c *Client) Get(path string) ([]byte, error) {
 	reply, err := c.command("RETR %s", path)
 	if err != nil {
 		return nil, err
 	}
 	fields := strings.Fields(reply)
-	if len(fields) < 2 {
+	if len(fields) < 2 || fields[0] != "150" {
 		return nil, fmt.Errorf("gridftp: bad RETR reply %q", reply)
 	}
 	size, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
+	if err != nil || size < 0 || size > maxTransfer {
 		return nil, fmt.Errorf("gridftp: bad RETR size in %q", reply)
 	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(c.rw, data); err != nil {
-		return nil, err
+	var data bytes.Buffer
+	if _, err := io.CopyN(&data, c.rw, size); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("gridftp: RETR %s: %d of %d bytes: %w", path, data.Len(), size, err)
 	}
-	return data, nil
+	return data.Bytes(), nil
 }
 
 // SendTo asks the server to push path to another server (third-party

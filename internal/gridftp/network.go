@@ -5,7 +5,9 @@
 //
 // The paper's transfer demonstrator (§6.3) moved more than 2 TB/day between
 // Grid3 sites, nearly 100 TB in the 30 days around SC2003 (Figure 5), using
-// NetLogger-instrumented GridFTP. The simulation models each site's WAN link
+// NetLogger-instrumented GridFTP; with Instruments set, each transfer is a
+// span that obs.Trace.WriteNetLogger renders as NetLogger start, end and
+// error records. The simulation models each site's WAN link
 // as a capacity shared by all concurrent transfers touching it, allocating
 // rates by progressive filling (max–min fairness), which is the standard
 // first-order model of long-lived TCP flows over shared links.
@@ -216,8 +218,6 @@ type Network struct {
 	queueWaitSum time.Duration
 	dequeued     int64
 
-	logger func(Event) // NetLogger hook; see netlogger.go
-
 	// Ins enables transfer spans and throughput metrics; nil disables.
 	Ins *Instruments
 
@@ -316,16 +316,6 @@ func (n *Network) Endpoint(name string) (*Endpoint, error) {
 	return e, nil
 }
 
-// SetLogger installs the NetLogger event hook.
-func (n *Network) SetLogger(fn func(Event)) { n.logger = fn }
-
-func (n *Network) log(ev Event) {
-	if n.logger != nil {
-		ev.Time = n.eng.Now()
-		n.logger(ev)
-	}
-}
-
 // ActiveCount returns the number of in-flight transfers.
 func (n *Network) ActiveCount() int { return len(n.active) }
 
@@ -418,7 +408,6 @@ func (n *Network) StartTraced(src, dst string, size int64, label string, parent 
 		in.Started.Inc()
 		t.span = in.Tracer.BeginTransfer(parent, label, label, src, dst, size)
 	}
-	n.log(Event{Kind: EventStart, Transfer: t})
 	if doorsFull(se) || doorsFull(de) {
 		// Both endpoints must have a free door; otherwise wait in FIFO
 		// order (the GridFTP door limit — excess requests queue at the
@@ -579,7 +568,6 @@ func (n *Network) fail(t *Transfer, err error) {
 		in.Failed.Inc()
 		in.Tracer.Fail(t.span, err.Error())
 	}
-	n.log(Event{Kind: EventError, Transfer: t, Err: err})
 	if t.done != nil {
 		t.done(t, err)
 	}
@@ -783,7 +771,6 @@ func (n *Network) complete(t *Transfer) {
 	n.history = append(n.history, CompletedTransfer{
 		Src: t.Src, Dst: t.Dst, Label: t.Label, Bytes: t.Bytes, Ended: t.Ended,
 	})
-	n.log(Event{Kind: EventEnd, Transfer: t})
 	if t.done != nil {
 		t.done(t, nil)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"grid3/internal/obs"
 	"grid3/internal/sim"
 )
 
@@ -215,9 +216,13 @@ func TestAccountingByLabelAndEndpoint(t *testing.T) {
 	}
 }
 
+// TestNetLoggerEvents: with Instruments set, the trace's NetLogger render
+// carries a start record per transfer, an end record per completion and an
+// error record, with its cause, per failure (§4.7).
 func TestNetLoggerEvents(t *testing.T) {
 	eng, n := newNet(t)
-	nl := Attach(n)
+	o := obs.New(eng.Now)
+	n.Ins = NewInstruments(o)
 	n.AddEndpoint("a", 800)
 	n.AddEndpoint("b", 800)
 	n.AddEndpoint("c", 800)
@@ -226,22 +231,18 @@ func TestNetLoggerEvents(t *testing.T) {
 	eng.RunUntil(time.Second)
 	n.SetEndpointUp("c", false)
 	eng.Run()
-	if nl.Count(EventStart) != 2 {
-		t.Fatalf("start events = %d", nl.Count(EventStart))
-	}
-	if nl.Count(EventEnd) != 1 {
-		t.Fatalf("end events = %d", nl.Count(EventEnd))
-	}
-	if nl.Count(EventError) != 1 {
-		t.Fatalf("error events = %d", nl.Count(EventError))
-	}
 	var sb strings.Builder
-	if _, err := nl.WriteTo(&sb); err != nil {
+	if err := o.Tracer.Trace().WriteNetLogger(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "NL.EVNT=gridftp.transfer.end") || !strings.Contains(out, "ERR=") {
-		t.Fatalf("NetLogger output missing records:\n%s", out)
+	for kind, want := range map[string]int{"start": 2, "end": 1, "error": 1} {
+		if got := strings.Count(out, "NL.EVNT=gridftp.transfer."+kind+" "); got != want {
+			t.Errorf("%s records = %d, want %d:\n%s", kind, got, want, out)
+		}
+	}
+	if !strings.Contains(out, "HOST=a PROG=gridftp NL.EVNT=gridftp.transfer.error DEST=c") || !strings.Contains(out, "ERR=") {
+		t.Fatalf("NetLogger output missing the error record:\n%s", out)
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 //	C: AUTH <base64(gob bundle)> <base64(sig over nonce)>
 //	S: 230 mapped to <account>            | 530 <reason>
 //	C: SIZE <path>                        → 213 <n> | 550 no such file
-//	C: STOR <path> <n> + n raw bytes      → 150 send | 226 ok | 552 disk full
+//	C: STOR <path> <n>                    → 150 send | 552 disk full
+//	C: n raw bytes (after 150)            → 226 ok | 552 disk full
 //	C: RETR <path>                        → 150 <n> + n raw bytes
 //	C: DELE <path>                        → 250 ok | 550 no such file
 //	C: QUIT                               → 221 bye
@@ -57,12 +58,28 @@ func NewFileStore(capacity int64) *FileStore {
 func (fs *FileStore) Put(name string, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	old := int64(len(fs.files[name]))
-	if fs.used-old+int64(len(data)) > fs.capacity {
-		return fmt.Errorf("%w: %d bytes over capacity", ErrDiskFull, fs.used-old+int64(len(data))-fs.capacity)
+	if err := fs.room(name, int64(len(data))); err != nil {
+		return err
 	}
-	fs.used += int64(len(data)) - old
+	fs.used += int64(len(data)) - int64(len(fs.files[name]))
 	fs.files[name] = data
+	return nil
+}
+
+// fits reports ErrDiskFull when size bytes stored under name would exceed
+// the capacity.
+func (fs *FileStore) fits(name string, size int64) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.room(name, size)
+}
+
+// room is fits for a caller holding fs.mu; an overwrite frees the old
+// file's bytes.
+func (fs *FileStore) room(name string, size int64) error {
+	if over := fs.used - int64(len(fs.files[name])) + size - fs.capacity; over > 0 {
+		return fmt.Errorf("%w: %d bytes over capacity", ErrDiskFull, over)
+	}
 	return nil
 }
 
@@ -260,17 +277,23 @@ func (s *Server) fileCommand(cmd string, fields []string, rw *bufio.ReadWriter, 
 			return reply("501 STOR <path> <size>")
 		}
 		size, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || size < 0 || size > 1<<32 {
+		if err != nil || size < 0 || size > maxTransfer {
 			return reply("501 bad size")
+		}
+		// A file the store cannot hold is refused before its first byte
+		// is sent; the body is then read as it arrives, not allocated
+		// whole from the size the client named.
+		if err := s.Store.fits(fields[1], size); err != nil {
+			return reply("552 %s", err)
 		}
 		if !reply("150 send %d bytes", size) {
 			return false
 		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(rw, data); err != nil {
+		var data bytes.Buffer
+		if _, err := io.CopyN(&data, rw, size); err != nil {
 			return false
 		}
-		if err := s.Store.Put(fields[1], data); err != nil {
+		if err := s.Store.Put(fields[1], data.Bytes()); err != nil {
 			return reply("552 %s", err)
 		}
 		return reply("226 stored %s", fields[1])

@@ -172,10 +172,10 @@ type nlEvent struct {
 }
 
 // WriteNetLogger renders the trace in the classic NetLogger "NL" line
-// format, in event-time order. Transfer spans render exactly the lines the
-// internal/gridftp NetLogger shim produced (PROG=gridftp, DEST=, BYTES=),
-// so this exporter subsumes it; every other span kind renders as
-// PROG=grid3 with span.<kind>.start/end/error events.
+// format, in event-time order. A transfer span renders as PROG=gridftp
+// gridftp.transfer.start/end/error records with DEST= and BYTES=; every
+// other span kind renders as PROG=grid3 with span.<kind>.start/end/error
+// events.
 func (tr *Trace) WriteNetLogger(w io.Writer) error {
 	events := make([]nlEvent, 0, 2*len(tr.spans))
 	for _, s := range tr.spans {

@@ -21,8 +21,8 @@
 // engine epoch) with parent/child links, so a DAG's critical path is
 // queryable after the run (Trace.CriticalPath). Exporters render JSONL
 // (Trace.WriteJSONL), a text metrics snapshot (Snapshot.WriteText), and the
-// classic NetLogger "NL" line format (Trace.WriteNetLogger), which subsumes
-// the transfer-only NetLogger shim in internal/gridftp.
+// classic NetLogger "NL" line format (Trace.WriteNetLogger), the paper's
+// GridFTP instrumentation (§4.7) for transfer spans.
 package obs
 
 import "time"
